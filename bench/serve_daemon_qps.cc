@@ -8,7 +8,7 @@
 // in-process PredictBatch reference — the wire path must not change a
 // single answer, and routing must never cross models. Reports QPS per
 // (model, connection count) plus micro-batch coalescing stats and one
-// batched-frame (protocol v2 PredictBatch) round-trip measurement per
+// batched-frame (PredictBatch) round-trip measurement per
 // model, and writes a BENCH_serve_daemon_qps_<model>.json sidecar per model
 // for the CI perf-trajectory artifact.
 //
@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Protocol v2 batched predict: the whole query set in kMaxBatchRecords
+    // Batched predict: the whole query set in kMaxBatchRecords
     // frames over one connection — one RTT per frame instead of per scan.
     try {
       serve::Client client("127.0.0.1", server.port());

@@ -46,7 +46,8 @@ void CheckHeader(std::istream& in, const char magic[4],
                  std::uint32_t expected_version);
 /// Reads a magic + version header, throwing only on magic mismatch and
 /// returning the version — for formats that decode a range of versions
-/// (e.g. the serve wire protocol) instead of exactly one.
+/// (e.g. model artifacts) or report a version mismatch in their own words
+/// (the serve wire protocol).
 std::uint32_t ReadHeader(std::istream& in, const char magic[4]);
 
 }  // namespace grafics

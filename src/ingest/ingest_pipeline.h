@@ -147,7 +147,7 @@ class IngestPipeline {
   CompactOutcome CompactNow(const std::string& name);
 
   /// Journal bytes reclaimed by compaction across every model since the
-  /// pipeline started; feeds the v6 store-stats block.
+  /// pipeline started; feeds the Stats reply's store block.
   std::uint64_t JournalBytesReclaimed() const;
 
   /// Folds and publishes everything pending, syncs and closes the journals,

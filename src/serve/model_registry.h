@@ -9,10 +9,10 @@
 //
 // The registry owns the models; serve::Server is a thin transport that
 // decodes frames and routes them here by name (empty name = the default
-// model, which is how v1 clients keep working). Load/ReloadFromDisk swap a
-// model's snapshot atomically: in-flight batches finish on the snapshot they
-// started with, later batches pick up the new one. Unload drains the model's
-// queue (futures still resolve) and removes it.
+// model). Load/ReloadFromDisk swap a model's snapshot atomically: in-flight
+// batches finish on the snapshot they started with, later batches pick up
+// the new one. Unload drains the model's queue (futures still resolve) and
+// removes it.
 #pragma once
 
 #include <cstdint>
@@ -110,7 +110,7 @@ class ModelRegistry {
                                                  rf::SignalRecord record);
   /// Submit for a whole request batch: resolves the name through the
   /// registry lock once, then enqueues every record on that model's
-  /// batcher — the hot path for v2 batched predicts.
+  /// batcher — the hot path for batched predicts.
   std::vector<std::future<std::optional<rf::FloorId>>> SubmitBatch(
       const std::string& name, std::vector<rf::SignalRecord> records);
   /// Admission-controlled completion-callback SubmitBatch for the event

@@ -43,7 +43,7 @@ struct ArtifactInfo {
   std::uint64_t bytes = 0;
 };
 
-/// Store-wide artifact totals, surfaced through protocol v6 store stats.
+/// Store-wide artifact totals, surfaced through the Stats reply's store block.
 struct ArtifactCounts {
   std::uint64_t base_count = 0;
   std::uint64_t delta_count = 0;

@@ -17,10 +17,9 @@
 // The properties checked for every input:
 //  1. DecodePayload either returns a Message or throws grafics::Error —
 //     any other exception, signal, or sanitizer report is a bug.
-//  2. Round-trip stability: a successfully decoded message re-encodes at
-//     the negotiated version and decodes back to an equal Message. This
-//     catches asymmetric encode/decode drift that byte-frozen tests for
-//     hand-picked values would miss.
+//  2. Round-trip stability: a successfully decoded message re-encodes and
+//     decodes back to an equal Message. This catches asymmetric
+//     encode/decode drift that tests of hand-picked values would miss.
 
 #include <cstdint>
 #include <cstdio>
@@ -42,9 +41,8 @@ using grafics::serve::Message;
 /// property violation.
 void FuzzDecodeOne(const std::string& payload) {
   Message decoded;
-  std::uint32_t version = 0;
   try {
-    decoded = DecodePayload(payload, &version);
+    decoded = DecodePayload(payload);
   } catch (const grafics::Error&) {
     return;  // malformed input rejected with the documented exception — fine
   }
@@ -52,35 +50,28 @@ void FuzzDecodeOne(const std::string& payload) {
   // here is a real decoder/encoder bug, so crash loudly for the harness.
   std::string reencoded;
   try {
-    reencoded = EncodePayload(decoded, version);
+    reencoded = EncodePayload(decoded);
   } catch (const grafics::Error& e) {
     std::fprintf(stderr,
-                 "protocol_fuzz: decoded v%u message rejects re-encoding: "
-                 "%s\n",
-                 version, e.what());
+                 "protocol_fuzz: decoded message rejects re-encoding: %s\n",
+                 e.what());
     std::abort();
   }
   try {
-    std::uint32_t version2 = 0;
-    const Message redecoded = DecodePayload(reencoded, &version2);
-    if (version2 != version || !(redecoded == decoded)) {
-      std::fprintf(stderr,
-                   "protocol_fuzz: v%u round-trip changed the message "
-                   "(re-negotiated v%u)\n",
-                   version, version2);
+    if (!(DecodePayload(reencoded) == decoded)) {
+      std::fprintf(stderr, "protocol_fuzz: round-trip changed the message\n");
       std::abort();
     }
   } catch (const grafics::Error& e) {
     std::fprintf(stderr,
-                 "protocol_fuzz: re-encoded v%u message fails to decode: "
-                 "%s\n",
-                 version, e.what());
+                 "protocol_fuzz: re-encoded message fails to decode: %s\n",
+                 e.what());
     std::abort();
   }
 }
 
-/// Valid frames covering every message type and dialect: the corpus the
-/// coverage-guided fuzzer mutates from, and the smoke test's base inputs.
+/// Valid frames covering every message type: the corpus the coverage-guided
+/// fuzzer mutates from, and the smoke test's base inputs.
 std::vector<std::string> SeedCorpus() {
   using namespace grafics::serve;
   grafics::rf::SignalRecord record;
@@ -170,19 +161,13 @@ std::vector<std::string> SeedCorpus() {
     response.artifacts.push_back({2, true, "mall.2.delta", 128});
     messages.push_back(response);
   }
+  messages.push_back(MetricsRequest{});
+  messages.push_back(MetricsResponse{"grafics_up 1\n"});
 
   std::vector<std::string> seeds;
-  for (std::uint32_t version = kMinProtocolVersion;
-       version <= kProtocolVersion; ++version) {
-    for (const Message& message : messages) {
-      try {
-        seeds.push_back(EncodePayload(message, version));
-      } catch (const grafics::Error&) {
-        // Not expressible in this dialect (v1 has no admin surface, pins
-        // need v6, ...) — the per-version encodability matrix is protocol
-        // _test_'s concern, not the fuzzer's.
-      }
-    }
+  seeds.reserve(messages.size());
+  for (const Message& message : messages) {
+    seeds.push_back(EncodePayload(message));
   }
   return seeds;
 }

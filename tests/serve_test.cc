@@ -1,12 +1,13 @@
 // Tests for the serving daemon: the TCP server/client loop against the
 // in-process reference, named-model routing through the ModelRegistry,
-// protocol-v1 compatibility over a real socket, per-model hot-reload
-// isolation (a reload racing another model's in-flight batches is what the
-// CI ThreadSanitizer job is there to check), micro-batch coalescing, and
-// the v3 ingest surface: submitted records folded in the background while
-// concurrent predictions stay bit-identical to a published snapshot. The
-// telemetry section at the bottom scrapes GET /metrics over a real socket
-// and cross-checks the exposition against the StatsResponse wire surface.
+// malformed and wrong-version frames over a real socket, per-model
+// hot-reload isolation (a reload racing another model's in-flight batches
+// is what the CI ThreadSanitizer job is there to check), micro-batch
+// coalescing, and the ingest surface: submitted records folded in the
+// background while concurrent predictions stay bit-identical to a published
+// snapshot. The telemetry section at the bottom scrapes GET /metrics over a
+// real socket and cross-checks the exposition against the StatsResponse
+// wire surface.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -18,10 +19,12 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/serialize.h"
 #include "core/grafics.h"
 #include "ingest/ingest_pipeline.h"
 #include "obs/admin_server.h"
@@ -459,7 +462,7 @@ TEST(ClientTest, ReceiveLimitIsConfigurableAndEnforced) {
   server.Start();
   // A tiny receive cap makes the client reject its own (large, batched)
   // reply; the default cap accepts it. This is the client-side knob for
-  // big v2 batch responses.
+  // big batch responses.
   ClientConfig tiny;
   tiny.max_frame_bytes = 16;
   Client capped("127.0.0.1", server.port(), tiny);
@@ -513,77 +516,39 @@ int ConnectRaw(std::uint16_t port) {
   return fd;
 }
 
-TEST(ServerTest, V1FramesAreServedByTheDefaultModelInV1Dialect) {
-  const Fixture& a = ModelA();
-  const Fixture& b = ModelB();
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
-  registry->Load("alpha", a.model);
-  registry->Load("beta", b.model);
-  Server server(registry);
-  server.Start();
-
-  // A deployed v1 client: single-record frames, no model names, expects v1
-  // replies. It must keep getting the default model's exact answers from
-  // the v2 daemon.
-  const int fd = ConnectRaw(server.port());
-  for (std::size_t i = 0; i < 4; ++i) {
-    SendFrame(fd, PredictRequest{"", {a.queries[i]}}, /*version=*/1);
-    const std::optional<std::string> payload = ReceiveFramePayload(fd);
-    ASSERT_TRUE(payload.has_value());
-    std::uint32_t version = 0;
-    const Message reply = DecodePayload(*payload, &version);
-    EXPECT_EQ(version, 1u) << "v1 requests get v1-encoded replies";
-    const auto* response = std::get_if<PredictResponse>(&reply);
-    ASSERT_NE(response, nullptr);
-    ASSERT_EQ(response->results.size(), 1u);
-    const PredictResult& result = response->results.front();
-    if (a.reference[i].has_value()) {
-      EXPECT_EQ(result.status, PredictStatus::kOk);
-      EXPECT_EQ(result.floor, *a.reference[i]);
-    } else {
-      EXPECT_EQ(result.status, PredictStatus::kDiscarded);
-    }
-  }
-  // v1 Ping: the Pong comes back v1-encoded (generation only).
-  SendFrame(fd, Ping{}, /*version=*/1);
-  const std::optional<std::string> payload = ReceiveFramePayload(fd);
-  ASSERT_TRUE(payload.has_value());
-  std::uint32_t version = 0;
-  const Message reply = DecodePayload(*payload, &version);
-  EXPECT_EQ(version, 1u);
-  const auto* pong = std::get_if<Pong>(&reply);
-  ASSERT_NE(pong, nullptr);
-  EXPECT_EQ(pong->protocol_version, 1u);
-  EXPECT_EQ(pong->model_generation, 1u);
-  ::close(fd);
-  server.Stop();
-}
-
 TEST(ServerTest, GarbageFrameGetsErrorReplyAndServerSurvives) {
   const Fixture& f = ModelA();
   Server server(AlphaRegistry());
   server.Start();
 
-  const int fd = ConnectRaw(server.port());
-  const std::string garbage = "BAD!magic-and-no-version";
-  const auto length = static_cast<std::uint32_t>(garbage.size());
-  ASSERT_EQ(::send(fd, &length, sizeof(length), 0),
-            static_cast<ssize_t>(sizeof(length)));
-  ASSERT_EQ(::send(fd, garbage.data(), garbage.size(), 0),
-            static_cast<ssize_t>(garbage.size()));
-  // The server answers with a kError predict response, then hangs up.
-  const std::optional<Message> reply = ReceiveFrame(fd);
-  ASSERT_TRUE(reply.has_value());
-  const auto* response = std::get_if<PredictResponse>(&*reply);
-  ASSERT_NE(response, nullptr);
-  ASSERT_EQ(response->results.size(), 1u);
-  EXPECT_EQ(response->results.front().status, PredictStatus::kError);
-  EXPECT_FALSE(ReceiveFramePayload(fd).has_value());
-  ::close(fd);
+  // A v1-header predict frame (the retired bare-record body) is as
+  // malformed as garbage bytes: one dialect, no downgrade.
+  std::ostringstream v1_predict;
+  WriteHeader(v1_predict, kFrameMagic, 1);
+  WriteU8(v1_predict, 1);  // kPredictRequest
+  WriteSignalRecord(v1_predict, f.queries[0]);
+  for (const std::string& payload :
+       {std::string("BAD!magic-and-no-version"), v1_predict.str()}) {
+    const int fd = ConnectRaw(server.port());
+    const auto length = static_cast<std::uint32_t>(payload.size());
+    ASSERT_EQ(::send(fd, &length, sizeof(length), 0),
+              static_cast<ssize_t>(sizeof(length)));
+    ASSERT_EQ(::send(fd, payload.data(), payload.size(), 0),
+              static_cast<ssize_t>(payload.size()));
+    // The server answers with a kError predict response, then hangs up.
+    const std::optional<Message> reply = ReceiveFrame(fd);
+    ASSERT_TRUE(reply.has_value());
+    const auto* response = std::get_if<PredictResponse>(&*reply);
+    ASSERT_NE(response, nullptr);
+    ASSERT_EQ(response->results.size(), 1u);
+    EXPECT_EQ(response->results.front().status, PredictStatus::kError);
+    EXPECT_FALSE(ReceiveFramePayload(fd).has_value());
+    ::close(fd);
 
-  // Protocol errors are per-connection: a fresh client still gets served.
-  Client client("127.0.0.1", server.port());
-  EXPECT_EQ(client.Predict(f.queries[0]), f.reference[0]);
+    // Protocol errors are per-connection: a fresh client still gets served.
+    Client client("127.0.0.1", server.port());
+    EXPECT_EQ(client.Predict(f.queries[0]), f.reference[0]);
+  }
   server.Stop();
 }
 
@@ -1203,7 +1168,7 @@ TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
   EXPECT_EQ(*MetricValue(body, "grafics_server_slow_requests_total"),
             static_cast<std::uint64_t>(n));
 
-  // The v7 wire dump is the same registry render as the admin scrape.
+  // The wire dump is the same registry render as the admin scrape.
   const std::string wire = stats_client.Metrics();
   EXPECT_NE(wire.find("# TYPE grafics_batcher_queue_wait_us histogram"),
             std::string::npos);

@@ -2,7 +2,7 @@
 """Repo-invariant lint, run as a ctest (see CMakeLists.txt) and by the
 static-analysis CI job.
 
-Checks five invariants that neither the compiler nor the unit tests can
+Checks four invariants that neither the compiler nor the unit tests can
 express on their own:
 
 1. sync-wrappers: no naked std::mutex / std::lock_guard / std::scoped_lock /
@@ -10,24 +10,18 @@ express on their own:
    src/ outside common/annotated_sync.h. Every lock must be a grafics::Mutex
    so the Clang thread-safety analysis sees it.
 
-2. protocol-freeze: every wire dialect older than the current
-   kProtocolVersion has a frozen-byte-layout assertion in
-   tests/protocol_test.cc, marked by a `layout-frozen: v<k>` comment. A
-   version bump without freezing the previous dialect's bytes fails here
-   before it can ship an incompatible decoder.
-
-3. durable-rename: every ::rename( in src/store/ is preceded (within the
+2. durable-rename: every ::rename( in src/store/ is preceded (within the
    same file, a few dozen lines above) by an fsync/fdatasync call — the
    crash-safe commit pattern (write temp, fsync, rename). A rename without a
    sync can surface as a zero-length manifest after power loss.
 
-4. obs-instruments: every telemetry instrument resolved under src/
+3. obs-instruments: every telemetry instrument resolved under src/
    (obs::Registry::GetCounter/GetGauge/GetHistogram with a literal name)
    matches grafics_[a-z0-9_]+ AND is cataloged in docs/observability.md.
    Dashboards and alerts are written against the doc; an undocumented
    instrument silently drifts out of both.
 
-5. kernel-loops: no hand-rolled dot/axpy/squared-distance inner loops
+4. kernel-loops: no hand-rolled dot/axpy/squared-distance inner loops
    (subscripted multiply-accumulate) under src/ outside
    src/common/matrix.{h,cc} and src/common/simd*. Those loops belong in the
    vector-kernel layer (common/simd.h): a stray copy silently forks the
@@ -55,12 +49,6 @@ BANNED_SYNC = re.compile(
     r"|pthread_(?:mutex|cond)_"
 )
 
-PROTOCOL_VERSION = re.compile(
-    r"kProtocolVersion\s*=\s*(\d+)"
-)
-
-FROZEN_MARKER = re.compile(r"layout-frozen:\s*v(\d+)\b")
-
 RENAME_CALL = re.compile(r"::rename\s*\(")
 FSYNC_CALL = re.compile(r"\bf(?:data)?sync\s*\(")
 
@@ -74,7 +62,7 @@ OBS_NAME = re.compile(r"grafics_[a-z0-9_]+")
 # cover one helper function body.
 RENAME_FSYNC_WINDOW = 40
 
-# Hand-rolled kernel loop shapes (rule 5). Subscripted operands only:
+# Hand-rolled kernel loop shapes (rule 4). Subscripted operands only:
 # Matrix's paren accessors (m(r, c)) are element-wise code, not a packed
 # inner loop, and stay out of scope.
 #   dot:  sum += a[i] * b[i]
@@ -145,28 +133,6 @@ def check_sync_wrappers(root: str) -> list[str]:
                     "grafics::Mutex/MutexLock/CondVar from "
                     "common/annotated_sync.h"
                 )
-    return problems
-
-
-def check_protocol_freeze(root: str) -> list[str]:
-    header = os.path.join(root, "src", "serve", "protocol.h")
-    test = os.path.join(root, "tests", "protocol_test.cc")
-    with open(header, encoding="utf-8") as f:
-        match = PROTOCOL_VERSION.search(f.read())
-    if not match:
-        return [f"{os.path.relpath(header, root)}: kProtocolVersion not found"]
-    current = int(match.group(1))
-    with open(test, encoding="utf-8") as f:
-        frozen = {int(m.group(1)) for m in FROZEN_MARKER.finditer(f.read())}
-    problems = []
-    for version in range(1, current):
-        if version not in frozen:
-            problems.append(
-                f"tests/protocol_test.cc: no `layout-frozen: v{version}` "
-                f"byte-layout assertion for protocol v{version} "
-                f"(kProtocolVersion is {current}; every older dialect must "
-                "keep a frozen-bytes test)"
-            )
     return problems
 
 
@@ -259,7 +225,6 @@ def check_kernel_loops(root: str) -> list[str]:
 def run_checks(root: str) -> list[str]:
     problems = []
     problems += check_sync_wrappers(root)
-    problems += check_protocol_freeze(root)
     problems += check_durable_rename(root)
     problems += check_obs_instruments(root)
     problems += check_kernel_loops(root)
@@ -272,7 +237,6 @@ def self_test() -> int:
     with tempfile.TemporaryDirectory() as root:
         os.makedirs(os.path.join(root, "src", "serve"))
         os.makedirs(os.path.join(root, "src", "store"))
-        os.makedirs(os.path.join(root, "tests"))
         with open(os.path.join(root, "src", "serve", "bad_sync.cc"),
                   "w", encoding="utf-8") as f:
             f.write("#include <mutex>\n"
@@ -280,12 +244,6 @@ def self_test() -> int:
                     "std::mutex naked_mutex;\n"
                     "void F() { std::lock_guard<std::mutex> l(naked_mutex); }"
                     "\n")
-        with open(os.path.join(root, "src", "serve", "protocol.h"),
-                  "w", encoding="utf-8") as f:
-            f.write("constexpr int kProtocolVersion = 3;\n")
-        with open(os.path.join(root, "tests", "protocol_test.cc"),
-                  "w", encoding="utf-8") as f:
-            f.write("// layout-frozen: v1\n")  # v2 marker missing on purpose
         with open(os.path.join(root, "src", "store", "bad_store.cc"),
                   "w", encoding="utf-8") as f:
             f.write("void Commit() {\n"
@@ -305,7 +263,7 @@ def self_test() -> int:
         os.makedirs(os.path.join(root, "src", "common"))
         with open(os.path.join(root, "src", "common", "matrix.cc"),
                   "w", encoding="utf-8") as f:
-            # Exempt home of the reference loops: must NOT trip rule 5.
+            # Exempt home of the reference loops: must NOT trip rule 4.
             f.write("double Dot(const double* a, const double* b, int n) {\n"
                     "  double sum = 0.0;\n"
                     "  for (int i = 0; i < n; ++i) sum += a[i] * b[i];\n"
@@ -330,7 +288,6 @@ def self_test() -> int:
         expected = [
             ("bad_sync.cc:3", "std::mutex"),
             ("bad_sync.cc:4", "std::lock_guard"),
-            ("protocol_test.cc", "layout-frozen: v2"),
             ("bad_store.cc:2", "::rename without"),
             ("bad_obs.cc:3", "does not match grafics_[a-z0-9_]+"),
             ("bad_obs.cc:4", "not cataloged in docs/observability.md"),
