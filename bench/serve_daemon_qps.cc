@@ -6,11 +6,11 @@
 // named model with concurrent blocking clients. Before reporting anything
 // the harness verifies every networked prediction bit-matches that model's
 // in-process PredictBatch reference — the wire path must not change a
-// single answer, and routing must never cross models. Reports QPS per
-// (model, connection count) plus micro-batch coalescing stats and one
-// batched-frame (PredictBatch) round-trip measurement per
-// model, and writes a BENCH_serve_daemon_qps_<model>.json sidecar per model
-// for the CI perf-trajectory artifact.
+// single answer, and routing must never cross models. Reports QPS and
+// p50/p99 latency per (model, connection count) plus one batched-frame
+// (PredictBatch) round-trip measurement per model, and writes a
+// BENCH_serve_daemon_qps_<model>.json sidecar per model for the CI
+// perf-trajectory artifact.
 //
 // Per-request latency is tracked per connection count and reported as
 // p50/p99 alongside QPS. With --report NAME the harness additionally writes
@@ -20,8 +20,7 @@
 //
 // Run:  ./build/bench/serve_daemon_qps
 //       ./build/bench/serve_daemon_qps --records-per-floor 200 --queries 80 \
-//           --connections 1,4 --max-batch 32 --max-delay-ms 2 \
-//           --model campus --model annex
+//           --connections 1,4 --model campus --model annex
 //       ./build/bench/serve_daemon_qps --connections 1,64,512 \
 //           --report epoll_transport
 #include <algorithm>
@@ -35,6 +34,7 @@
 
 #include "bench/bench_util.h"
 #include "common/cli_flags.h"
+#include "common/thread_pool.h"
 #include "core/grafics.h"
 #include "rf/dataset.h"
 #include "serve/client.h"
@@ -50,8 +50,6 @@ using Clock = std::chrono::steady_clock;
 struct Args {
   int records_per_floor = 400;
   std::size_t queries = 200;
-  std::size_t max_batch = 32;
-  unsigned max_delay_ms = 2;
   std::vector<std::size_t> connections = {1, 2, 4};
   std::vector<std::string> models = {"campus"};
   std::string report;  // combined BENCH_<report>.json, empty = none
@@ -65,10 +63,6 @@ Args ParseArgs(int argc, char** argv) {
       "--records-per-floor"));
   args.queries = ParseUnsigned(FlagValue(raw, "--queries", "200"), 1000000,
                                "--queries");
-  args.max_batch = ParseUnsigned(FlagValue(raw, "--max-batch", "32"), 1 << 20,
-                                 "--max-batch");
-  args.max_delay_ms = static_cast<unsigned>(ParseUnsigned(
-      FlagValue(raw, "--max-delay-ms", "2"), 60000, "--max-delay-ms"));
   const std::string list = FlagValue(raw, "--connections", "1,2,4");
   args.connections.clear();
   for (std::size_t begin = 0; begin < list.size();) {
@@ -143,15 +137,6 @@ double PercentileMs(std::vector<double>& sample, double fraction) {
   return sample[index];
 }
 
-/// One model's cumulative (requests, batches) from the registry stats.
-std::pair<std::uint64_t, std::uint64_t> ModelCounters(
-    const serve::ModelRegistry& registry, const std::string& name) {
-  for (const serve::ModelStats& stats : registry.Stats()) {
-    if (stats.name == name) return {stats.requests, stats.batches};
-  }
-  return {0, 0};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -163,17 +148,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("== serve_daemon_qps: TCP daemon, %zu named model(s), "
-              "micro-batching ==\n",
+  std::printf("== serve_daemon_qps: TCP daemon, %zu named model(s) ==\n",
               args.models.size());
-  std::printf("   campus preset per model, max-batch %zu, max-delay %ums\n",
-              args.max_batch, args.max_delay_ms);
+  std::printf("   campus preset per model, predict pool on all cores\n");
 
-  serve::BatcherConfig batcher;
-  batcher.max_batch_size = args.max_batch;
-  batcher.max_delay = std::chrono::milliseconds(args.max_delay_ms);
-  batcher.predict_threads = 0;  // one shared pool, all cores
-  auto registry = std::make_shared<serve::ModelRegistry>(batcher);
+  auto registry = std::make_shared<serve::ModelRegistry>(
+      std::make_shared<ThreadPool>(0));
 
   std::vector<BenchModel> models;
   models.reserve(args.models.size());
@@ -194,15 +174,13 @@ int main(int argc, char** argv) {
   std::vector<bench::BenchReport> reports;
   reports.reserve(models.size());
   bench::BenchReport combined(args.report.empty() ? "unused" : args.report);
-  std::printf("%12s %12s %12s %12s %10s %12s %9s %9s\n", "model",
-              "connections", "seconds", "queries/s", "batches", "mean batch",
-              "p50 ms", "p99 ms");
+  std::printf("%12s %12s %12s %12s %9s %9s\n", "model", "connections",
+              "seconds", "queries/s", "p50 ms", "p99 ms");
   for (const BenchModel& model : models) {
     bench::BenchReport report("serve_daemon_qps_" + model.name);
     report.Add("train_seconds", model.train_seconds);
     report.Add("queries", static_cast<double>(model.queries.size()));
 
-    auto [seen_requests, seen_batches] = ModelCounters(*registry, model.name);
     for (const std::size_t connections : args.connections) {
       std::vector<std::vector<std::optional<rf::FloorId>>> results(
           connections,
@@ -249,25 +227,12 @@ int main(int argc, char** argv) {
           if (results[c][i] != model.reference[i]) all_match = false;
         }
       }
-      const auto [total_requests, total_batches] =
-          ModelCounters(*registry, model.name);
-      const std::uint64_t requests = total_requests - seen_requests;
-      const std::uint64_t batches = total_batches - seen_batches;
-      seen_requests = total_requests;
-      seen_batches = total_batches;
       const double qps =
           static_cast<double>(model.queries.size()) / seconds;
-      const double mean_batch =
-          batches == 0 ? 0.0
-                       : static_cast<double>(requests) /
-                             static_cast<double>(batches);
-      std::printf("%12s %12zu %12.3f %12.1f %10llu %12.2f %9.3f %9.3f\n",
-                  model.name.c_str(), connections, seconds, qps,
-                  static_cast<unsigned long long>(batches), mean_batch, p50,
-                  p99);
+      std::printf("%12s %12zu %12.3f %12.1f %9.3f %9.3f\n",
+                  model.name.c_str(), connections, seconds, qps, p50, p99);
       const std::string suffix = "_c" + std::to_string(connections);
       report.Add("qps" + suffix, qps);
-      report.Add("mean_batch" + suffix, mean_batch);
       report.Add("p50_ms" + suffix, p50);
       report.Add("p99_ms" + suffix, p99);
       // The combined report is meant for single-model runs (CI's epoll
@@ -292,9 +257,8 @@ int main(int argc, char** argv) {
       }
       const double qps =
           static_cast<double>(model.queries.size()) / seconds;
-      std::printf("%12s %12s %12.3f %12.1f %10s %12s %9s %9s\n",
-                  model.name.c_str(), "batched", seconds, qps, "-", "-", "-",
-                  "-");
+      std::printf("%12s %12s %12.3f %12.1f %9s %9s\n", model.name.c_str(),
+                  "batched", seconds, qps, "-", "-");
       report.Add("qps_batched", qps);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "batched predict failed: %s\n", e.what());

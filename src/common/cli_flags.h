@@ -2,6 +2,7 @@
 // the bench load generators, so flag parsing exists exactly once.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,6 +34,20 @@ inline std::vector<std::string> FlagValues(
     values.push_back(args[i + 1]);
   }
   return values;
+}
+
+/// Validates a `--flag value ...` argument list: every flag position (0, 2,
+/// 4, ...) must name a flag in `known` and be followed by a value. Throws
+/// naming the first offender — FlagValue only looks up the flags it is
+/// asked for, so without this check a typo or a retired flag would run the
+/// program silently without that setting.
+inline void RequireKnownFlags(const std::vector<std::string>& args,
+                              const std::vector<std::string>& known) {
+  for (std::size_t i = 0; i < args.size(); i += 2) {
+    Require(std::find(known.begin(), known.end(), args[i]) != known.end(),
+            "unknown flag '" + args[i] + "'");
+    Require(i + 1 < args.size(), args[i] + ": missing value");
+  }
 }
 
 /// Parses a decimal unsigned integer, rejecting sign markers, trailing

@@ -219,11 +219,14 @@ void AdminServer::AcceptLoop() {
 
 void AdminServer::Stop() {
   if (!started_.load() || stopping_.exchange(true)) return;
-  // Shutdown before close pops a blocked accept() on every platform.
+  // Shutdown pops a blocked accept() and fails every later one. Close and
+  // reset the descriptor only after the join, like Server::Stop: the accept
+  // thread reads listen_fd_ unsynchronized and must never accept() on a
+  // closed (or recycled) descriptor number.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (accept_thread_.joinable()) accept_thread_.join();
   if (loop_ != nullptr) loop_->Stop();
 }
 

@@ -1,7 +1,8 @@
 // Blocking client for the GRAFICS serving daemon (protocol v7).
 //
 // One TCP connection, one request/response in flight at a time; concurrency
-// comes from opening more clients (the daemon coalesces across connections).
+// comes from opening more clients (the daemon serves every connection's
+// records on one shared predict pool).
 // Every call takes an optional model name — empty routes to the daemon's
 // default model. Used by the tests, the serve_daemon_qps load generator,
 // and the `grafics remote-*` CLI commands.

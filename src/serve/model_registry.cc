@@ -1,6 +1,7 @@
 #include "serve/model_registry.h"
 
-#include <algorithm>
+#include <chrono>
+#include <exception>
 #include <utility>
 
 #include "common/error.h"
@@ -9,6 +10,14 @@
 namespace grafics::serve {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t MicrosBetween(Clock::time_point from, Clock::time_point to) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
+          .count());
+}
 
 void ValidateName(const std::string& name) {
   Require(!name.empty(), "ModelRegistry: model name must not be empty");
@@ -27,16 +36,24 @@ void ValidateName(const std::string& name) {
 
 }  // namespace
 
-ModelRegistry::ModelRegistry(BatcherConfig batcher)
-    : batcher_config_(batcher) {
-  if (batcher_config_.predict_threads != 1) {
-    pool_ = std::make_unique<ThreadPool>(batcher_config_.predict_threads);
-  }
+/// One admitted predict frame, shared by its per-record pool tasks: the
+/// snapshot taken at admission answers every record of the frame.
+struct ModelRegistry::Frame {
+  std::shared_ptr<Entry> entry;
+  std::shared_ptr<const core::Grafics> model;
+  std::vector<rf::SignalRecord> records;
+  BatchCallback done;
+  Clock::time_point admitted;
+};
+
+ModelRegistry::ModelRegistry(std::shared_ptr<ThreadPool> pool)
+    : pool_(std::move(pool)) {
+  Require(pool_ != nullptr, "ModelRegistry: a ThreadPool is required");
 }
 
 ModelRegistry::~ModelRegistry() {
-  // Quiesce the scrape hook before anything it walks (entries_, batchers)
-  // starts dying; member destruction order alone does not guarantee that.
+  // Quiesce the scrape hook before anything it walks (entries_) starts
+  // dying; member destruction order alone does not guarantee that.
   obs_hook_.Detach();
   Stop();
 }
@@ -51,8 +68,8 @@ void ModelRegistry::Load(const std::string& name,
   Require(!stopped_, "ModelRegistry::Load after Stop");
   const auto it = entries_.find(name);
   if (it != entries_.end()) {
-    // Hot swap: keep the batcher (and its queue) running across the switch;
-    // in-flight batches finish on the snapshot they started with.
+    // Hot swap: frames admitted before the switch finish on the snapshot
+    // they took; the next frame takes the new one.
     Entry& entry = *it->second;
     const MutexLock entry_lock(&entry.mutex);
     entry.model = std::move(model);
@@ -67,46 +84,24 @@ void ModelRegistry::Load(const std::string& name,
           "ModelRegistry::Load: registry full (kMaxModels)");
   auto entry = std::make_shared<Entry>();
   {
-    // Entry not yet published, but the batcher's flusher thread starts below
-    // and its snapshot callback reads these fields under the entry mutex —
-    // initialize under it too so the happens-before edge is the lock, not
-    // the entries_ insertion.
+    // Not yet published; the lock only satisfies the GUARDED_BY contract.
     const MutexLock entry_lock(&entry->mutex);
     entry->model = std::move(model);
     entry->path = std::move(model_path);
     entry->last_source = source;
   }
-  // First load of this name: resolve the per-model telemetry handles into
-  // the batcher's config before construction, so the flusher thread reads
-  // them const and race-free for the batcher's whole life.
-  BatcherConfig batcher_config = batcher_config_;
+  // First load of this name: resolve the per-model latency histograms before
+  // the entry is published, so pool tasks read them const and race-free.
   if (const std::shared_ptr<obs::Registry> obs = observed()) {
     const obs::Labels labels = {{"model", name}};
-    batcher_config.obs.batch_size = obs->GetHistogram(
-        "grafics_batcher_batch_size",
-        "Records per dispatched micro-batch.",
-        obs::PowerOfTwoBuckets(
-            std::max<std::uint64_t>(batcher_config_.max_batch_size, 1)),
-        labels);
-    batcher_config.obs.queue_wait_us = obs->GetHistogram(
-        "grafics_batcher_queue_wait_us",
-        "Microseconds a record waited queued before its batch dispatched.",
+    entry->queue_wait_us = obs->GetHistogram(
+        "grafics_predict_queue_wait_us",
+        "Microseconds an admitted record waited for a pool worker.",
         obs::DefaultLatencyBucketsUs(), labels);
-    batcher_config.obs.predict_us = obs->GetHistogram(
-        "grafics_batcher_predict_us",
-        "Microseconds the batch's PredictBatch call took.",
+    entry->predict_us = obs->GetHistogram(
+        "grafics_predict_us", "Microseconds one record's Predict took.",
         obs::DefaultLatencyBucketsUs(), labels);
   }
-  // Raw pointer is safe: the batcher is the entry's last member, so its
-  // destructor joins the flusher thread before the rest of the entry dies.
-  Entry* raw = entry.get();
-  entry->batcher = std::make_unique<MicroBatcher>(
-      batcher_config,
-      [raw] {
-        const MutexLock snapshot_lock(&raw->mutex);
-        return raw->model;
-      },
-      pool_.get());
   entries_.emplace(name, std::move(entry));
   if (default_name_.empty()) default_name_ = name;
 }
@@ -146,9 +141,8 @@ void ModelRegistry::Unload(const std::string& name) {
     victim = std::move(it->second);
     entries_.erase(it);
   }
-  // Outside the registry lock: draining blocks on in-flight inference, and
-  // the flusher's snapshot callback only takes the entry's own mutex.
-  victim->batcher->Stop();
+  // Outside the registry lock: draining blocks on in-flight inference.
+  Drain(*victim);
 }
 
 std::uint64_t ModelRegistry::ReloadFromDisk(const std::string& name) {
@@ -235,7 +229,6 @@ void ModelRegistry::SyncObs() const {
       snapshot = entry->model;
     }
     const CowBytes memory = snapshot->MemoryBytes();
-    const BatcherStats batcher = entry->batcher->stats();
     obs->GetGauge("grafics_model_generation",
                   "Monotonic per-model publish generation.", labels)
         ->Set(static_cast<std::int64_t>(generation));
@@ -249,28 +242,17 @@ void ModelRegistry::SyncObs() const {
                   "alone.",
                   labels)
         ->Set(static_cast<std::int64_t>(memory.owned_bytes));
-    obs->GetCounter("grafics_batcher_requests_total",
-                    "Records enqueued on the model's micro-batcher.", labels)
-        ->SyncTo(batcher.requests);
-    obs->GetCounter("grafics_batcher_batches_total",
-                    "Micro-batches dispatched through PredictBatch.", labels)
-        ->SyncTo(batcher.batches);
-    obs->GetGauge("grafics_batcher_queue_depth",
-                  "Records enqueued but not yet dispatched.", labels)
-        ->Set(static_cast<std::int64_t>(batcher.queue_depth));
-    const char* const kFlushHelp =
-        "Batch flushes by trigger: queue reached max_batch_size, the "
-        "oldest record's max_delay expired, or Stop() drained the queue.";
-    obs::Labels reason = labels;
-    reason.emplace_back("reason", "max_batch");
-    obs->GetCounter("grafics_batcher_flushes_total", kFlushHelp, reason)
-        ->SyncTo(batcher.flushes_max_batch);
-    reason.back().second = "max_delay";
-    obs->GetCounter("grafics_batcher_flushes_total", kFlushHelp, reason)
-        ->SyncTo(batcher.flushes_max_delay);
-    reason.back().second = "shutdown";
-    obs->GetCounter("grafics_batcher_flushes_total", kFlushHelp, reason)
-        ->SyncTo(batcher.flushes_shutdown);
+    obs->GetCounter("grafics_predict_records_total",
+                    "Predict records admitted for the model.", labels)
+        ->SyncTo(entry->records.load(std::memory_order_relaxed));
+    obs->GetCounter("grafics_predict_requests_total",
+                    "Predict requests (frames) admitted for the model.",
+                    labels)
+        ->SyncTo(entry->requests.load(std::memory_order_relaxed));
+    obs->GetGauge("grafics_predict_inflight",
+                  "Admitted predict records not yet answered.", labels)
+        ->Set(static_cast<std::int64_t>(
+            entry->inflight.load(std::memory_order_relaxed) & ~kClosed));
   }
 }
 
@@ -303,29 +285,84 @@ std::uint64_t ModelRegistry::ReloadFromStore(const std::string& name,
   return ++entry->generation;
 }
 
-std::future<std::optional<rf::FloorId>> ModelRegistry::Submit(
-    const std::string& name, rf::SignalRecord record) {
-  return Find(name)->batcher->Submit(std::move(record));
-}
-
-std::vector<std::future<std::optional<rf::FloorId>>>
-ModelRegistry::SubmitBatch(const std::string& name,
-                           std::vector<rf::SignalRecord> records) {
-  const std::shared_ptr<Entry> entry = Find(name);
-  std::vector<std::future<std::optional<rf::FloorId>>> futures;
-  futures.reserve(records.size());
-  for (rf::SignalRecord& record : records) {
-    futures.push_back(entry->batcher->Submit(std::move(record)));
-  }
-  return futures;
-}
-
 bool ModelRegistry::TrySubmitBatchAsync(const std::string& name,
                                         std::vector<rf::SignalRecord> records,
-                                        MicroBatcher::BatchCallback done,
+                                        BatchCallback done,
                                         std::size_t max_queue_depth) {
-  return Find(name)->batcher->TrySubmitBatchAsync(
-      std::move(records), std::move(done), max_queue_depth);
+  Require(done != nullptr,
+          "ModelRegistry::TrySubmitBatchAsync: callback required");
+  Require(!records.empty(), "ModelRegistry::TrySubmitBatchAsync: empty batch");
+  std::shared_ptr<Entry> entry = Find(name);
+  const std::uint64_t count = records.size();
+  // All-or-nothing: partially admitting a pipelined request would answer
+  // some of its records and busy-reject the rest mid-response.
+  std::uint64_t state = entry->inflight.load(std::memory_order_relaxed);
+  do {
+    if ((state & kClosed) != 0) {
+      throw Error("ModelRegistry: predict after Stop or Unload of model '" +
+                  (name.empty() ? std::string("(default)") : name) + "'");
+    }
+    if (max_queue_depth > 0 && state + count > max_queue_depth) return false;
+  } while (!entry->inflight.compare_exchange_weak(
+      state, state + count, std::memory_order_acq_rel,
+      std::memory_order_relaxed));
+  entry->records.fetch_add(count, std::memory_order_relaxed);
+  entry->requests.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t largest = entry->max_request.load(std::memory_order_relaxed);
+  while (largest < count &&
+         !entry->max_request.compare_exchange_weak(largest, count,
+                                                   std::memory_order_relaxed)) {
+  }
+
+  auto frame = std::make_shared<Frame>();
+  {
+    const MutexLock entry_lock(&entry->mutex);
+    frame->model = entry->model;  // once per frame: one generation answers it
+  }
+  frame->entry = std::move(entry);
+  frame->records = std::move(records);
+  frame->done = std::move(done);
+  frame->admitted = Clock::now();
+  for (std::size_t i = 0; i < count; ++i) {
+    pool_->Submit([frame, i] { RunRecord(*frame, i); });
+  }
+  return true;
+}
+
+void ModelRegistry::RunRecord(const Frame& frame, std::size_t index) noexcept {
+  Entry& entry = *frame.entry;
+  const Clock::time_point started = Clock::now();
+  PredictOutcome outcome;
+  try {
+    // A fresh InferenceContext per record, exactly like a one-record
+    // PredictBatch: answers are bit-identical to the in-process path.
+    outcome.floor = frame.model->Predict(frame.records[index]);
+  } catch (const std::exception& e) {
+    outcome.error = e.what();
+  }
+  outcome.queue_wait_us = MicrosBetween(frame.admitted, started);
+  outcome.predict_us = MicrosBetween(started, Clock::now());
+  if (entry.queue_wait_us != nullptr) {
+    entry.queue_wait_us->Observe(outcome.queue_wait_us);
+  }
+  if (entry.predict_us != nullptr) {
+    entry.predict_us->Observe(outcome.predict_us);
+  }
+  frame.done(index, std::move(outcome));
+  // Answered: only now may a Drain waiting on this record return.
+  if (entry.inflight.fetch_sub(1, std::memory_order_acq_rel) ==
+      (kClosed | 1)) {
+    const MutexLock lock(&entry.mutex);
+    entry.drained.NotifyAll();
+  }
+}
+
+void ModelRegistry::Drain(Entry& entry) {
+  entry.inflight.fetch_or(kClosed, std::memory_order_acq_rel);
+  const MutexLock lock(&entry.mutex);
+  while ((entry.inflight.load(std::memory_order_acquire) & ~kClosed) != 0) {
+    entry.drained.Wait(entry.mutex);
+  }
 }
 
 std::vector<ModelInfo> ModelRegistry::List() const {
@@ -343,7 +380,7 @@ std::vector<ModelStats> ModelRegistry::Stats(
     const std::string& name_filter) const {
   // Snapshot the entries under the registry lock, then gather the per-model
   // counters unlocked (like Stop does): an admin stats sweep must not stall
-  // name resolution for predict traffic while it visits every batcher.
+  // name resolution for predict traffic while it visits every model.
   std::vector<std::pair<std::string, std::shared_ptr<Entry>>> entries;
   {
     const MutexLock lock(&mutex_);
@@ -370,11 +407,11 @@ std::vector<ModelStats> ModelRegistry::Stats(
     const CowBytes memory = snapshot->MemoryBytes();
     stats.shared_bytes = memory.shared_bytes;
     stats.owned_bytes = memory.owned_bytes;
-    const BatcherStats batcher = entry->batcher->stats();
-    stats.requests = batcher.requests;
-    stats.batches = batcher.batches;
-    stats.max_batch = batcher.max_batch;
-    stats.queue_depth = batcher.queue_depth;
+    stats.requests = entry->records.load(std::memory_order_relaxed);
+    stats.batches = entry->requests.load(std::memory_order_relaxed);
+    stats.max_batch = entry->max_request.load(std::memory_order_relaxed);
+    stats.queue_depth =
+        entry->inflight.load(std::memory_order_relaxed) & ~kClosed;
     {
       // Invoked under probe_mutex_ (but outside every registry/entry
       // lock), so SetIngestDepthProbe(nullptr) is a true quiesce point:
@@ -439,9 +476,7 @@ void ModelRegistry::Stop() {
     entries.reserve(entries_.size());
     for (const auto& [name, entry] : entries_) entries.push_back(entry);
   }
-  for (const std::shared_ptr<Entry>& entry : entries) {
-    entry->batcher->Stop();
-  }
+  for (const std::shared_ptr<Entry>& entry : entries) Drain(*entry);
 }
 
 std::shared_ptr<ModelRegistry::Entry> ModelRegistry::Find(

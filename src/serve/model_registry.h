@@ -1,23 +1,24 @@
 // Named model registry: the serving side of "one daemon, many buildings".
 //
 // Maps model names to hot-swappable std::shared_ptr<const Grafics> snapshots
-// with a per-model generation counter, a per-model MicroBatcher (so one
-// building's traffic coalesces into its own micro-batches and a reload never
-// stalls another building's queue), and per-model serving stats. All
-// batchers share one ThreadPool, so inference parallelism is bounded per
-// process regardless of how many buildings are loaded.
+// with a per-model generation counter and per-model serving stats. Predicts
+// of every model run on one shared ThreadPool that the owner hands in, so
+// inference parallelism is bounded per process regardless of how many
+// buildings are loaded.
 //
 // The registry owns the models; serve::Server is a thin transport that
 // decodes frames and routes them here by name (empty name = the default
-// model). Load/ReloadFromDisk swap a model's snapshot atomically: in-flight
-// batches finish on the snapshot they started with, later batches pick up
-// the new one. Unload drains the model's queue (futures still resolve) and
-// removes it.
+// model). Each admitted predict frame takes the model's snapshot once and
+// runs one pool task per record, so a whole frame is answered from one
+// generation. Load/ReloadFromDisk swap a model's snapshot atomically:
+// admitted frames finish on the snapshot they took, later frames pick up the
+// new one. Unload waits until the model's admitted records are answered,
+// then removes it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -29,7 +30,6 @@
 #include "core/grafics.h"
 #include "obs/metrics.h"
 #include "rf/signal_record.h"
-#include "serve/batcher.h"
 #include "serve/protocol.h"
 
 namespace grafics::store {
@@ -38,12 +38,28 @@ class ModelStore;
 
 namespace grafics::serve {
 
+/// One record's answer, delivered to a TrySubmitBatchAsync callback from a
+/// pool worker. `error` empty means the record was served: floor carries the
+/// prediction, nullopt = discarded (no MAC overlap).
+struct PredictOutcome {
+  std::optional<rf::FloorId> floor;
+  std::string error;
+  /// Time the record waited for a pool worker after admission, and how long
+  /// its Predict took — carried back so the server's slow-request trace can
+  /// attribute latency without re-measuring.
+  std::uint64_t queue_wait_us = 0;
+  std::uint64_t predict_us = 0;
+};
+
 class ModelRegistry {
  public:
-  /// `batcher` configures every per-model MicroBatcher; its predict_threads
-  /// sizes the one shared ThreadPool (0 = hardware_concurrency, 1 = serial
-  /// dispatch on each model's flusher thread).
-  explicit ModelRegistry(BatcherConfig batcher = {});
+  using BatchCallback = std::function<void(std::size_t, PredictOutcome)>;
+
+  /// Every model's predicts run on `pool`, shared with the owner: the daemon
+  /// sizes it from --threads, and tests park its workers to hold admitted
+  /// records in flight. Tasks run in submission order across all models.
+  explicit ModelRegistry(
+      std::shared_ptr<ThreadPool> pool = std::make_shared<ThreadPool>(1));
   ~ModelRegistry();
 
   ModelRegistry(const ModelRegistry&) = delete;
@@ -68,8 +84,9 @@ class ModelRegistry {
   /// delta checkpoints chain onto it. Kept as the single file-path entry
   /// point for the daemon and tests.
   void LoadFromDisk(const std::string& name, const std::string& model_path);
-  /// Drains the model's pending requests (their futures still resolve), then
-  /// removes it. The default model cannot be unloaded.
+  /// Refuses further predicts for the model, waits until every admitted
+  /// record is answered, then removes it. The default model cannot be
+  /// unloaded.
   void Unload(const std::string& name);
   /// Re-loads `name` (empty = default) and swaps it in, returning the new
   /// generation. Without an attached store this reads the recorded artifact
@@ -87,11 +104,11 @@ class ModelRegistry {
   std::shared_ptr<store::ModelStore> store() const;
 
   /// Attaches the telemetry registry. Per-model gauges and counters
-  /// (generation, snapshot bytes, batcher totals, queue depth, flush
-  /// reasons) are synced by a collection hook at every scrape; the batcher
-  /// latency/size histograms are resolved per model at Load time, so attach
-  /// before loading models — models loaded earlier keep serving but record
-  /// no distributions. Detached automatically (quiescently) on destruction.
+  /// (generation, snapshot bytes, predict totals, in-flight records) are
+  /// synced by a collection hook at every scrape; the predict latency
+  /// histograms are resolved per model at Load time, so attach before
+  /// loading models — models loaded earlier keep serving but record no
+  /// distributions. Detached automatically (quiescently) on destruction.
   void AttachObs(std::shared_ptr<obs::Registry> obs);
 
   /// Load(name, store->Open(name, generation)): installs a store generation
@@ -103,26 +120,19 @@ class ModelRegistry {
   std::uint64_t ReloadFromStore(const std::string& name,
                                 std::uint64_t generation = 0);
 
-  /// Enqueues one record on the named model's batcher (empty = default).
-  /// Throws grafics::Error for unknown names and after Stop(); the caller
-  /// turns that into a per-record error status, not a dropped connection.
-  std::future<std::optional<rf::FloorId>> Submit(const std::string& name,
-                                                 rf::SignalRecord record);
-  /// Submit for a whole request batch: resolves the name through the
-  /// registry lock once, then enqueues every record on that model's
-  /// batcher — the hot path for batched predicts.
-  std::vector<std::future<std::optional<rf::FloorId>>> SubmitBatch(
-      const std::string& name, std::vector<rf::SignalRecord> records);
-  /// Admission-controlled completion-callback SubmitBatch for the event
-  /// loop: enqueues every record or none. Returns false without invoking
-  /// anything when `max_queue_depth` > 0 and the model's queue would exceed
-  /// it; the transport turns that into a structured busy error. On success
-  /// `done(i, outcome)` runs once per record from the model's flusher
-  /// thread. Throws for unknown names and after Stop(), like Submit.
+  /// The predict entry point of the event loop. Resolves `name` (empty =
+  /// default), then admits every record or none: returns false without
+  /// invoking anything when `max_queue_depth` > 0 and the model's admitted,
+  /// unanswered records would exceed it; the transport turns that into a
+  /// structured busy error. On admission it takes the model's snapshot once
+  /// for the whole frame and submits one pool task per record; `done(i,
+  /// outcome)` then runs once per record on a pool worker, so it must be
+  /// cheap and must not throw (a throw terminates the process). Throws
+  /// grafics::Error for unknown names and after Stop()/Unload; the caller
+  /// turns that into per-record error statuses, not a dropped connection.
   bool TrySubmitBatchAsync(const std::string& name,
                            std::vector<rf::SignalRecord> records,
-                           MicroBatcher::BatchCallback done,
-                           std::size_t max_queue_depth);
+                           BatchCallback done, std::size_t max_queue_depth);
 
   /// Name/generation/reloadable for every model, sorted by name.
   std::vector<ModelInfo> List() const;
@@ -151,11 +161,16 @@ class ModelRegistry {
   void SetIngestDepthProbe(
       std::function<std::uint64_t(const std::string&)> probe);
 
-  /// Drains every model's batcher and rejects further Submits/Loads.
-  /// Idempotent; also run by the destructor. Stats stay readable.
+  /// Refuses further predicts and Loads, and returns once every admitted
+  /// record of every model is answered. Idempotent; also run by the
+  /// destructor. Stats stay readable.
   void Stop();
 
  private:
+  /// Bit of Entry::inflight set once Stop/Unload closes the model; the low
+  /// bits count admitted records not yet answered.
+  static constexpr std::uint64_t kClosed = std::uint64_t{1} << 63;
+
   struct Entry {
     mutable Mutex mutex;
     std::shared_ptr<const core::Grafics> model GRAFICS_GUARDED_BY(mutex);
@@ -163,12 +178,31 @@ class ModelRegistry {
     std::string path GRAFICS_GUARDED_BY(mutex);
     PublishSource last_source GRAFICS_GUARDED_BY(mutex) =
         PublishSource::kDisk;
+    /// Signalled (under `mutex`) when a closed model's last admitted
+    /// record is answered.
+    CondVar drained;
+    // Predict admission and counters, lock-free on the request path. One
+    // atomic word carries both the closed bit and the in-flight count, so
+    // an admission either lands before the close (and is waited for) or
+    // sees it (and throws).
+    std::atomic<std::uint64_t> inflight{0};
+    std::atomic<std::uint64_t> records{0};
+    std::atomic<std::uint64_t> requests{0};
+    std::atomic<std::uint64_t> max_request{0};
     // Unguarded by design: set once before the entry is published into
-    // entries_ and immutable from then on. Last member: its destructor joins
-    // the flusher thread before the rest of the entry goes away, so the
-    // snapshot callback's raw Entry* is safe.
-    std::unique_ptr<MicroBatcher> batcher;
+    // entries_ and immutable from then on; null when no obs is attached.
+    obs::Histogram* queue_wait_us = nullptr;
+    obs::Histogram* predict_us = nullptr;
   };
+  struct Frame;
+
+  /// Pool task: predicts record `index` of `frame` and answers it.
+  /// noexcept: a throwing `done` would otherwise leave the record counted
+  /// in flight forever and hang Drain; it terminates instead.
+  static void RunRecord(const Frame& frame, std::size_t index) noexcept;
+  /// Closes `entry` to new predicts and blocks until its admitted records
+  /// are answered.
+  static void Drain(Entry& entry) GRAFICS_EXCLUDES(entry.mutex);
 
   /// Resolves empty → default and looks the entry up. Callers hold the
   /// returned shared_ptr, so a concurrent Unload cannot free it mid-use.
@@ -181,8 +215,7 @@ class ModelRegistry {
   std::shared_ptr<obs::Registry> observed() const
       GRAFICS_EXCLUDES(obs_mutex_);
 
-  const BatcherConfig batcher_config_;
-  std::unique_ptr<ThreadPool> pool_;  // null when predict_threads == 1
+  const std::shared_ptr<ThreadPool> pool_;
 
   mutable Mutex store_mutex_;  // probes never touch it
   std::shared_ptr<store::ModelStore> store_ GRAFICS_GUARDED_BY(store_mutex_);

@@ -3,17 +3,18 @@
 //
 // One accept-loop thread hands each connection to the nonblocking epoll
 // EventLoop (a fixed pool of worker threads; see event_loop.h). Workers
-// never block: predicts are submitted to the registry's per-model
-// MicroBatchers through completion callbacks, blocking admin work (reload
-// disk loads, ingest journal fsyncs) runs on a small ops pool, and the
-// cheap admin queries are answered inline. A client may pipeline many
-// requests on one connection; replies always come back in request order.
+// never block: predicts go to the registry, which runs each record as a
+// task on its shared predict pool and answers through a completion
+// callback; blocking admin work (reload disk loads, ingest journal fsyncs)
+// runs on a small ops pool, and the cheap admin queries are answered
+// inline. A client may pipeline many requests on one connection; replies
+// always come back in request order.
 //
 // Admission control keeps an overloaded daemon answering instead of
 // queueing without bound: predicts beyond max_inflight_per_connection
-// unanswered requests on one socket, or beyond max_queue_depth pending
-// records on one model, are refused with a structured per-record
-// "busy: ..." error — never a dropped connection.
+// unanswered requests on one socket, or beyond max_queue_depth admitted,
+// unanswered records on one model, are refused with a structured
+// per-record "busy: ..." error — never a dropped connection.
 //
 // Every frame speaks protocol kProtocolVersion. A frame with a bad header,
 // any other version, or a malformed body gets a one-result error
@@ -62,11 +63,12 @@ struct ServerConfig {
   /// without socket activity (slow-loris partial frames included); zero
   /// disables harvesting.
   std::chrono::milliseconds idle_timeout{0};
-  /// Busy-reject a predict once its connection has this many unanswered
-  /// requests (including itself); zero = unlimited pipelining.
+  /// Per-connection pipelining cap N: a connection may hold N unanswered
+  /// requests, and a predict arriving while N are already unanswered (so
+  /// N+1 counting itself) is busy-rejected; zero = unlimited pipelining.
   std::size_t max_inflight_per_connection = 64;
-  /// Busy-reject a predict when its model's batcher queue would exceed
-  /// this many pending records; zero = unbounded.
+  /// Busy-reject a predict when its model's admitted, unanswered records
+  /// would exceed this many; zero = unbounded.
   std::size_t max_queue_depth = 0;
   /// Threads for blocking admin work (reload disk loads, ingest journal
   /// fsyncs) so event workers never stall on them.
@@ -111,8 +113,8 @@ class Server {
   /// Binds, listens, and spawns the accept loop + event workers. Throws
   /// grafics::Error when the address is unusable.
   void Start();
-  /// Stops accepting and disconnects clients; in-flight batcher
-  /// completions become no-ops. The registry (and its batchers) is the
+  /// Stops accepting and disconnects clients; in-flight predict
+  /// completions become no-ops. The registry (and its predict pool) is the
   /// caller's to stop. Idempotent.
   void Stop();
 

@@ -1,16 +1,17 @@
 // grafics_served — the GRAFICS network serving daemon.
 //
 // Loads one or many SaveModel artifacts into a named model registry and
-// answers floor queries over the TCP protocol of serve/protocol.h,
-// coalescing concurrent requests into per-model dynamic micro-batches
-// served through the snapshot-isolated PredictBatch path. One daemon, many
+// answers floor queries over the TCP protocol of serve/protocol.h. Every
+// record of an admitted predict runs at once as its own task on one predict
+// pool shared by all models, against the snapshot-isolated model the
+// request was admitted on; nothing waits to be coalesced. One daemon, many
 // buildings: clients route by model name, and unnamed requests go to the
 // default model.
 //
 //   grafics_served [<model.bin>] [--model NAME=PATH]... [--default NAME]
-//                  [--host A] [--port P] [--max-batch N] [--max-delay-ms M]
-//                  [--threads T] [--event-workers W] [--idle-timeout-ms I]
-//                  [--max-inflight N] [--max-queue-depth N] [--port-file F]
+//                  [--host A] [--port P] [--threads T] [--event-workers W]
+//                  [--idle-timeout-ms I] [--max-inflight N]
+//                  [--max-queue-depth N] [--port-file F]
 //                  [--journal-dir D] [--ingest-batch N]
 //                  [--ingest-max-delay-ms M] [--ingest-max-pending N]
 //                  [--store-dir D] [--compact-every-n-folds N]
@@ -25,20 +26,19 @@
 //                     loaded model)
 //   --host A          bind address            (default 127.0.0.1)
 //   --port P          TCP port; 0 = ephemeral (default 4817)
-//   --max-batch N     flush a batch at N pending requests (default 64)
-//   --max-delay-ms M  flush after the oldest request waited M ms (default 2)
-//   --threads T       PredictBatch workers shared by all models; 0 = cores
+//   --threads T       predict pool workers shared by all models; 0 = cores
+//                     (default 1)
 //   --event-workers W epoll worker threads of the event-driven transport;
 //                     each owns a share of the connections (default 2)
 //   --idle-timeout-ms I  close connections with no unanswered requests
 //                     after I ms without socket activity — reclaims fds
 //                     from abandoned peers and slow-loris partial frames;
 //                     0 disables (default 60000)
-//   --max-inflight N  busy-reject predicts once a connection has N
-//                     unanswered pipelined requests; 0 = unlimited
-//                     (default 64)
-//   --max-queue-depth N  busy-reject predicts when a model's batcher queue
-//                     would exceed N pending records; 0 = unbounded
+//   --max-inflight N  busy-reject a predict that arrives while its
+//                     connection already has N unanswered pipelined
+//                     requests; 0 = unlimited (default 64)
+//   --max-queue-depth N  busy-reject predicts when a model's admitted,
+//                     unanswered records would exceed N; 0 = unbounded
 //                     (default 0)
 //   --port-file F     write the bound port to F once listening (for
 //                     scripts/CI that start on an ephemeral port)
@@ -80,7 +80,7 @@
 //                     grafics_simd_backend and logged at startup.
 //
 // SIGHUP hot-reloads every model from its artifact path, one by one: new
-// batches move to each fresh snapshot atomically while in-flight batches
+// requests move to each fresh snapshot atomically while admitted ones
 // finish on the old one, and other models keep serving throughout. Clients
 // can reload one model remotely (`grafics remote-reload --model NAME`).
 // SIGINT/SIGTERM drain and exit: the listener stops first, then the ingest
@@ -88,7 +88,8 @@
 // then is the registry torn down — accepted records are never lost to a
 // TERM.
 //
-// Exit status: 0 on clean shutdown, 1 on usage error, 2 on runtime failure.
+// Exit status: 0 on clean shutdown, 1 on usage error (including an unknown
+// flag or a flag without a value), 2 on runtime failure.
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -106,6 +107,7 @@
 #include "common/cli_flags.h"
 #include "common/error.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "core/grafics.h"
 #include "ingest/ingest_pipeline.h"
 #include "obs/admin_server.h"
@@ -152,8 +154,7 @@ int Usage() {
       stderr,
       "usage: grafics_served [<model.bin>] [--model NAME=PATH]... "
       "[--default NAME]\n"
-      "                      [--host A] [--port P] [--max-batch N]\n"
-      "                      [--max-delay-ms M] [--threads T] "
+      "                      [--host A] [--port P] [--threads T] "
       "[--event-workers W]\n"
       "                      [--idle-timeout-ms I] [--max-inflight N]\n"
       "                      [--max-queue-depth N] [--port-file F]\n"
@@ -234,6 +235,20 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::string> args(argv + first_flag, argv + argc);
   try {
+    RequireKnownFlags(
+        args, {"--model", "--default", "--host", "--port", "--threads",
+               "--event-workers", "--idle-timeout-ms", "--max-inflight",
+               "--max-queue-depth", "--port-file", "--journal-dir",
+               "--ingest-batch", "--ingest-max-delay-ms",
+               "--ingest-max-pending", "--store-dir",
+               "--compact-every-n-folds", "--max-journal-bytes",
+               "--admin-port", "--admin-port-file", "--slow-request-us",
+               "--simd"});
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "grafics_served: %s\n", e.what());
+    return Usage();
+  }
+  try {
     serve::ServerConfig config;
     config.host = FlagValue(args, "--host", "127.0.0.1");
     config.port = static_cast<std::uint16_t>(ParseUnsigned(
@@ -251,12 +266,7 @@ int main(int argc, char** argv) {
     config.max_queue_depth = static_cast<std::size_t>(ParseUnsigned(
         FlagValue(args, "--max-queue-depth", "0"), 1 << 24,
         "--max-queue-depth"));
-    serve::BatcherConfig batcher;
-    batcher.max_batch_size = static_cast<std::size_t>(ParseUnsigned(
-        FlagValue(args, "--max-batch", "64"), 1 << 20, "--max-batch"));
-    batcher.max_delay = std::chrono::milliseconds(ParseUnsigned(
-        FlagValue(args, "--max-delay-ms", "2"), 60000, "--max-delay-ms"));
-    batcher.predict_threads = static_cast<std::size_t>(ParseUnsigned(
+    const auto predict_threads = static_cast<std::size_t>(ParseUnsigned(
         FlagValue(args, "--threads", "1"), 4096, "--threads"));
     const std::string port_file = FlagValue(args, "--port-file", "");
     ingest::IngestConfig ingest_config;
@@ -325,7 +335,8 @@ int main(int argc, char** argv) {
                    "label carries scalar|avx2|neon)",
                    {{"backend", simd::BackendName(simd_backend)}})
         ->Set(1);
-    auto registry = std::make_shared<serve::ModelRegistry>(batcher);
+    auto registry = std::make_shared<serve::ModelRegistry>(
+        std::make_shared<ThreadPool>(predict_threads));
     registry->AttachObs(obs_registry);
     ingest_config.obs = obs_registry;
     std::shared_ptr<store::ModelStore> model_store;
@@ -461,8 +472,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     transport.requests_rejected_busy));
     for (const serve::ModelStats& stats : registry->Stats()) {
-      std::printf("  model %-24s gen %llu: %llu request(s) in %llu "
-                  "batch(es), largest %llu\n",
+      std::printf("  model %-24s gen %llu: %llu record(s) in %llu "
+                  "request(s), largest %llu\n",
                   stats.name.c_str(),
                   static_cast<unsigned long long>(stats.generation),
                   static_cast<unsigned long long>(stats.requests),

@@ -1,13 +1,13 @@
 // Tests for the serving daemon: the TCP server/client loop against the
 // in-process reference, named-model routing through the ModelRegistry,
 // malformed and wrong-version frames over a real socket, per-model
-// hot-reload isolation (a reload racing another model's in-flight batches
-// is what the CI ThreadSanitizer job is there to check), micro-batch
-// coalescing, and the ingest surface: submitted records folded in the
-// background while concurrent predictions stay bit-identical to a published
-// snapshot. The telemetry section at the bottom scrapes GET /metrics over a
-// real socket and cross-checks the exposition against the StatsResponse
-// wire surface.
+// hot-reload isolation (a reload racing another model's in-flight requests
+// is what the CI ThreadSanitizer job is there to check), admission control
+// held deterministic by parking the predict pool, and the ingest surface:
+// submitted records folded in the background while concurrent predictions
+// stay bit-identical to a published snapshot. The telemetry section at the
+// bottom scrapes GET /metrics over a real socket and cross-checks the
+// exposition against the StatsResponse wire surface.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,7 +17,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,11 +24,12 @@
 #include <vector>
 
 #include "common/serialize.h"
+#include "common/thread_pool.h"
 #include "core/grafics.h"
 #include "ingest/ingest_pipeline.h"
 #include "obs/admin_server.h"
 #include "obs/metrics.h"
-#include "serve/batcher.h"
+#include "parked_pool.h"
 #include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/protocol.h"
@@ -85,128 +85,15 @@ const Fixture& ModelB() {
   return fixture;
 }
 
-MicroBatcher::SnapshotFn SnapshotOf(const Fixture& fixture) {
-  return [&fixture] { return fixture.model; };
-}
-
-std::optional<rf::FloorId> GetWithin(
-    std::future<std::optional<rf::FloorId>>& future,
-    std::chrono::seconds timeout = 30s) {
-  if (future.wait_for(timeout) != std::future_status::ready) {
-    ADD_FAILURE() << "batcher future not ready within " << timeout.count()
-                  << "s";
-    return std::nullopt;
-  }
-  return future.get();
-}
-
-TEST(MicroBatcherTest, FlushesWhenBatchFills) {
-  const Fixture& f = ModelA();
-  BatcherConfig config;
-  config.max_batch_size = 4;
-  config.max_delay = 60s;  // flushing must come from the size trigger
-  MicroBatcher batcher(config, SnapshotOf(f));
-  std::vector<std::future<std::optional<rf::FloorId>>> futures;
-  for (std::size_t i = 0; i < 4; ++i) {
-    futures.push_back(batcher.Submit(f.queries[i]));
-  }
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(GetWithin(futures[i]), f.reference[i]) << i;
-  }
-  const BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, 4u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.max_batch, 4u);
-  EXPECT_EQ(stats.queue_depth, 0u);
-}
-
-TEST(MicroBatcherTest, FlushesOnDelayWhenBatchStaysSmall) {
-  const Fixture& f = ModelA();
-  BatcherConfig config;
-  config.max_batch_size = 100;
-  config.max_delay = 20ms;
-  MicroBatcher batcher(config, SnapshotOf(f));
-  std::vector<std::future<std::optional<rf::FloorId>>> futures;
-  for (std::size_t i = 0; i < 3; ++i) {
-    futures.push_back(batcher.Submit(f.queries[i]));
-  }
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(GetWithin(futures[i]), f.reference[i]) << i;
-  }
-  const BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.requests, 3u);
-  EXPECT_GE(stats.batches, 1u);
-}
-
-TEST(MicroBatcherTest, StopDrainsPendingRequests) {
-  const Fixture& f = ModelA();
-  BatcherConfig config;
-  config.max_batch_size = 100;
-  config.max_delay = 60s;  // only Stop() can trigger the flush
-  MicroBatcher batcher(config, SnapshotOf(f));
-  auto first = batcher.Submit(f.queries[0]);
-  auto second = batcher.Submit(f.queries[1]);
-  EXPECT_EQ(batcher.stats().queue_depth, 2u);
-  batcher.Stop();
-  EXPECT_EQ(GetWithin(first), f.reference[0]);
-  EXPECT_EQ(GetWithin(second), f.reference[1]);
-  EXPECT_THROW(batcher.Submit(f.queries[2]), Error);
-}
-
-TEST(MicroBatcherTest, ParallelDispatchMatchesReference) {
-  const Fixture& f = ModelA();
-  BatcherConfig config;
-  config.max_batch_size = 8;
-  config.max_delay = 5ms;
-  config.predict_threads = 3;  // PredictBatch fan-out inside each flush
-  MicroBatcher batcher(config, SnapshotOf(f));
-  const std::size_t n = std::min<std::size_t>(f.queries.size(), 24);
-  std::vector<std::future<std::optional<rf::FloorId>>> futures;
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(batcher.Submit(f.queries[i]));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(GetWithin(futures[i]), f.reference[i]) << i;
-  }
-}
-
-TEST(MicroBatcherTest, SharedPoolDispatchMatchesReference) {
-  const Fixture& f = ModelA();
-  ThreadPool pool(3);
-  BatcherConfig config;
-  config.max_batch_size = 8;
-  config.max_delay = 5ms;
-  MicroBatcher batcher(config, SnapshotOf(f), &pool);
-  const std::size_t n = std::min<std::size_t>(f.queries.size(), 16);
-  std::vector<std::future<std::optional<rf::FloorId>>> futures;
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(batcher.Submit(f.queries[i]));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(GetWithin(futures[i]), f.reference[i]) << i;
-  }
-}
-
-TEST(MicroBatcherTest, SurfacesSnapshotFailureThroughFutures) {
-  BatcherConfig config;
-  config.max_delay = 1ms;
-  MicroBatcher batcher(config, [] { return MicroBatcher::Snapshot(); });
-  auto future = batcher.Submit(ModelA().queries[0]);
-  ASSERT_EQ(future.wait_for(30s), std::future_status::ready);
-  EXPECT_THROW(future.get(), Error);
-}
-
-BatcherConfig QuickBatcherConfig() {
-  BatcherConfig config;
-  config.max_batch_size = 8;
-  config.max_delay = 2ms;
-  return config;
+/// Registry over its own two-worker predict pool.
+std::shared_ptr<ModelRegistry> NewRegistry() {
+  return std::make_shared<ModelRegistry>(std::make_shared<ThreadPool>(2));
 }
 
 /// Registry with ModelA as default "alpha"; port 0 keeps tests off fixed
 /// ports.
 std::shared_ptr<ModelRegistry> AlphaRegistry() {
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = NewRegistry();
   registry->Load("alpha", ModelA().model);
   return registry;
 }
@@ -248,7 +135,7 @@ TEST(ServerTest, BatchedPredictMatchesPerRecordAndReference) {
 TEST(ServerTest, RoutesNamedModelsIndependently) {
   const Fixture& a = ModelA();
   const Fixture& b = ModelB();
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = NewRegistry();
   registry->Load("alpha", a.model);
   registry->Load("beta", b.model);
   Server server(registry);
@@ -294,7 +181,7 @@ TEST(ServerTest, UnknownModelYieldsStructuredErrorNotDroppedConnection) {
 TEST(ServerTest, ListModelsAndStatsDescribeTheRegistry) {
   const Fixture& a = ModelA();
   const Fixture& b = ModelB();
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = NewRegistry();
   registry->Load("alpha", a.model);
   registry->Load("beta", b.model);
   Server server(registry);
@@ -329,12 +216,9 @@ TEST(ServerTest, ListModelsAndStatsDescribeTheRegistry) {
   server.Stop();
 }
 
-TEST(ServerTest, CoalescesConcurrentConnections) {
+TEST(ServerTest, ServesConcurrentConnectionsBitIdentically) {
   const Fixture& f = ModelA();
-  auto registry_config = QuickBatcherConfig();
-  registry_config.max_delay = 20ms;  // wide window so clients coalesce
-  auto registry = std::make_shared<ModelRegistry>(registry_config);
-  registry->Load("alpha", f.model);
+  auto registry = AlphaRegistry();
   Server server(registry);
   server.Start();
   constexpr std::size_t kClients = 4;
@@ -356,7 +240,8 @@ TEST(ServerTest, CoalescesConcurrentConnections) {
   ASSERT_EQ(registry->Stats().size(), 1u);
   const ModelStats stats = registry->Stats()[0];
   EXPECT_EQ(stats.requests, kClients * kPerClient);
-  EXPECT_GE(stats.batches, 1u);
+  EXPECT_EQ(stats.batches, kClients * kPerClient);  // one record per request
+  EXPECT_EQ(stats.max_batch, 1u);
 }
 
 TEST(ServerTest, HotReloadSwapsSnapshotBetweenRequests) {
@@ -412,7 +297,7 @@ TEST(ServerTest, PerModelReloadDoesNotDisturbOtherModels) {
   const Fixture& b = ModelB();
   const std::string path = testing::TempDir() + "serve_test_beta_model.bin";
   b.model->SaveModel(path);
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = NewRegistry();
   registry->Load("alpha", a.model);
   registry->LoadFromDisk("beta", path);
   Server server(registry);
@@ -809,89 +694,123 @@ TEST(ServerTest, SlowLorisPartialFrameIsHarvestedByIdleTimeout) {
   server.Stop();
 }
 
+/// Polls `condition` for up to 30s; the tests below wait on server state
+/// that another thread moves.
+template <typename Condition>
+bool Eventually(Condition condition) {
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (!condition()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+/// The floors of one predict reply read off a raw socket; error statuses
+/// fail the test.
+std::vector<std::optional<rf::FloorId>> ReceiveFloors(int fd) {
+  const std::optional<std::string> payload = ReceiveFramePayload(fd);
+  EXPECT_TRUE(payload.has_value());
+  if (!payload.has_value()) return {};
+  const Message reply = DecodePayload(*payload);
+  const auto* response = std::get_if<PredictResponse>(&reply);
+  EXPECT_NE(response, nullptr);
+  if (response == nullptr) return {};
+  std::vector<std::optional<rf::FloorId>> floors;
+  for (const PredictResult& result : response->results) {
+    EXPECT_NE(result.status, PredictStatus::kError) << result.error;
+    floors.push_back(result.status == PredictStatus::kOk
+                         ? std::optional<rf::FloorId>(result.floor)
+                         : std::nullopt);
+  }
+  return floors;
+}
+
+/// Expects the next reply on `fd` to be a one-result busy rejection.
+void ExpectBusyReply(int fd) {
+  const std::optional<std::string> payload = ReceiveFramePayload(fd);
+  ASSERT_TRUE(payload.has_value());
+  const Message reply = DecodePayload(*payload);
+  const auto* response = std::get_if<PredictResponse>(&reply);
+  ASSERT_NE(response, nullptr);
+  ASSERT_EQ(response->results.size(), 1u);
+  EXPECT_EQ(response->results[0].status, PredictStatus::kError);
+  EXPECT_NE(response->results[0].error.find("busy"), std::string::npos);
+}
+
 TEST(ServerTest, QueueDepthRejectionIsAStructuredBusyError) {
   const Fixture& f = ModelA();
-  BatcherConfig batcher;
-  batcher.max_batch_size = 2;
-  batcher.max_delay = 60s;  // flushes only on the size trigger
-  auto registry = std::make_shared<ModelRegistry>(batcher);
+  auto pool = std::make_shared<ThreadPool>(1);
+  auto registry = std::make_shared<ModelRegistry>(pool);
   registry->Load("alpha", f.model);
   ServerConfig config;
   config.max_queue_depth = 2;
   Server server(registry, config);
   server.Start();
   Client client("127.0.0.1", server.port());
-  // Five records cannot fit a 2-deep queue: refused whole (admission is
+  // Five records cannot fit a 2-deep model: refused whole (admission is
   // all-or-nothing) with a structured busy error the client decodes.
-  const std::vector<rf::SignalRecord> five(f.queries.begin(),
-                                           f.queries.begin() + 5);
   try {
-    client.PredictBatch(five, "alpha");
+    client.PredictBatch({f.queries.begin(), f.queries.begin() + 5}, "alpha");
     FAIL() << "expected a busy rejection";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("busy"), std::string::npos)
         << e.what();
   }
-  // Neither the connection nor the model is poisoned: a fitting batch is
-  // admitted and served bit-identically (the size trigger flushes it).
-  const std::vector<rf::SignalRecord> two(f.queries.begin(),
-                                          f.queries.begin() + 2);
-  const auto served = client.PredictBatch(two, "alpha");
-  ASSERT_EQ(served.size(), 2u);
-  EXPECT_EQ(served[0], f.reference[0]);
-  EXPECT_EQ(served[1], f.reference[1]);
-  EXPECT_EQ(server.transport_stats().requests_rejected_busy, 1u);
+
+  // Admitted records count until they are answered: with the pool parked,
+  // a 2-record frame fills the depth and one more record is refused.
+  ParkedPool parked(*pool);
+  const int fd = ConnectRaw(server.port());
+  SendAllRaw(fd, EncodeFrame(PredictRequest{
+                     "alpha", {f.queries[0], f.queries[1]}}));
+  ASSERT_TRUE(
+      Eventually([&] { return registry->Stats()[0].queue_depth == 2; }));
+  const int extra = ConnectRaw(server.port());
+  SendAllRaw(extra, EncodeFrame(PredictRequest{"alpha", {f.queries[2]}}));
+  ASSERT_TRUE(Eventually([&] {
+    return server.transport_stats().requests_rejected_busy == 2;
+  }));
+  ExpectBusyReply(extra);
+  ::close(extra);
+  // Neither the connection nor the model is poisoned: once released, the
+  // parked records are served bit-identically.
+  parked.Release();
+  const std::vector<std::optional<rf::FloorId>> expected(
+      f.reference.begin(), f.reference.begin() + 2);
+  EXPECT_EQ(ReceiveFloors(fd), expected);
+  ::close(fd);
+  EXPECT_EQ(client.PredictBatch({f.queries[2]}, "alpha"),
+            std::vector{f.reference[2]});
+  EXPECT_EQ(server.transport_stats().requests_rejected_busy, 2u);
   server.Stop();
 }
 
 TEST(ServerTest, MaxInflightBusyRejectsTheExcessButKeepsReplyOrder) {
   const Fixture& f = ModelA();
-  BatcherConfig batcher;
-  batcher.max_batch_size = 100;
-  batcher.max_delay = 60s;  // nothing flushes until the registry drains
-  auto registry = std::make_shared<ModelRegistry>(batcher);
+  auto pool = std::make_shared<ThreadPool>(1);
+  auto registry = std::make_shared<ModelRegistry>(pool);
   registry->Load("alpha", f.model);
   ServerConfig config;
   config.max_inflight_per_connection = 1;
   Server server(registry, config);
   server.Start();
+  // Parked: the first predict stays admitted and unanswered.
+  ParkedPool parked(*pool);
   const int fd = ConnectRaw(server.port());
   std::string burst = EncodeFrame(PredictRequest{"", {f.queries[0]}});
   burst += EncodeFrame(PredictRequest{"", {f.queries[1]}});
   SendAllRaw(fd, burst);
-  // Wait until the first predict sits in the batcher queue and the second
-  // was busy-rejected; the rejection's reply must still wait in line
-  // behind the first one's.
-  const auto deadline = std::chrono::steady_clock::now() + 30s;
-  while ((registry->Stats("alpha")[0].queue_depth < 1 ||
-          server.transport_stats().requests_rejected_busy < 1) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  ASSERT_EQ(registry->Stats("alpha")[0].queue_depth, 1u);
-  ASSERT_EQ(server.transport_stats().requests_rejected_busy, 1u);
-  registry->Stop();  // drains the batcher: the first predict resolves
-  const std::optional<std::string> first = ReceiveFramePayload(fd);
-  ASSERT_TRUE(first.has_value());
-  const Message first_reply = DecodePayload(*first);
-  const auto* first_response = std::get_if<PredictResponse>(&first_reply);
-  ASSERT_NE(first_response, nullptr);
-  ASSERT_EQ(first_response->results.size(), 1u);
-  if (f.reference[0].has_value()) {
-    EXPECT_EQ(first_response->results[0].status, PredictStatus::kOk);
-    EXPECT_EQ(first_response->results[0].floor, *f.reference[0]);
-  } else {
-    EXPECT_EQ(first_response->results[0].status, PredictStatus::kDiscarded);
-  }
-  const std::optional<std::string> second = ReceiveFramePayload(fd);
-  ASSERT_TRUE(second.has_value());
-  const Message second_reply = DecodePayload(*second);
-  const auto* second_response = std::get_if<PredictResponse>(&second_reply);
-  ASSERT_NE(second_response, nullptr);
-  ASSERT_EQ(second_response->results.size(), 1u);
-  EXPECT_EQ(second_response->results[0].status, PredictStatus::kError);
-  EXPECT_NE(second_response->results[0].error.find("busy"),
-            std::string::npos);
+  // Wait until the first predict is in flight and the second was
+  // busy-rejected; the rejection's reply must still wait in line behind the
+  // first one's.
+  ASSERT_TRUE(Eventually([&] {
+    return registry->Stats("alpha")[0].queue_depth == 1 &&
+           server.transport_stats().requests_rejected_busy == 1;
+  }));
+  parked.Release();
+  EXPECT_EQ(ReceiveFloors(fd), std::vector{f.reference[0]});
+  ExpectBusyReply(fd);
   ::close(fd);
   server.Stop();
 }
@@ -899,7 +818,7 @@ TEST(ServerTest, MaxInflightBusyRejectsTheExcessButKeepsReplyOrder) {
 TEST(ServerTest, HotSwapUnderPipelinedTrafficStaysBitIdentical) {
   const Fixture& a = ModelA();
   const Fixture& b = ModelB();  // same building + queries, different seed
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = NewRegistry();
   registry->Load("alpha", a.model);
   Server server(registry);
   server.Start();
@@ -943,62 +862,6 @@ TEST(ServerTest, HotSwapUnderPipelinedTrafficStaysBitIdentical) {
 }
 
 // --- end-to-end telemetry -------------------------------------------------
-
-TEST(MicroBatcherTest, FlushReasonsAreAccountedAndHistogramsObserve) {
-  const Fixture& f = ModelA();
-  obs::Registry obs_registry;
-  {
-    BatcherConfig config;
-    config.max_batch_size = 2;
-    config.max_delay = 60s;
-    config.obs.batch_size = obs_registry.GetHistogram(
-        "grafics_batcher_batch_size", "h", obs::PowerOfTwoBuckets(2));
-    config.obs.queue_wait_us = obs_registry.GetHistogram(
-        "grafics_batcher_queue_wait_us", "h", obs::DefaultLatencyBucketsUs());
-    config.obs.predict_us = obs_registry.GetHistogram(
-        "grafics_batcher_predict_us", "h", obs::DefaultLatencyBucketsUs());
-    MicroBatcher batcher(config, SnapshotOf(f));
-    auto first = batcher.Submit(f.queries[0]);
-    auto second = batcher.Submit(f.queries[1]);
-    GetWithin(first);
-    GetWithin(second);
-    const BatcherStats stats = batcher.stats();
-    EXPECT_EQ(stats.flushes_max_batch, 1u);
-    EXPECT_EQ(stats.flushes_max_delay, 0u);
-    EXPECT_EQ(stats.flushes_shutdown, 0u);
-    // One dispatched batch = one batch-size and one predict observation,
-    // one queue-wait observation per record.
-    EXPECT_EQ(config.obs.batch_size->count(), 1u);
-    EXPECT_EQ(config.obs.batch_size->sum(), 2u);
-    EXPECT_EQ(config.obs.queue_wait_us->count(), 2u);
-    EXPECT_EQ(config.obs.predict_us->count(), 1u);
-  }
-  {
-    BatcherConfig config;
-    config.max_batch_size = 8;
-    config.max_delay = 1ms;
-    MicroBatcher batcher(config, SnapshotOf(f));
-    auto only = batcher.Submit(f.queries[0]);
-    GetWithin(only);
-    const BatcherStats stats = batcher.stats();
-    EXPECT_EQ(stats.flushes_max_delay, 1u);
-    EXPECT_EQ(stats.flushes_max_batch, 0u);
-  }
-  {
-    BatcherConfig config;
-    config.max_batch_size = 8;
-    config.max_delay = 60s;
-    MicroBatcher batcher(config, SnapshotOf(f));
-    auto pending = batcher.Submit(f.queries[0]);
-    batcher.Stop();  // drains the pending request as a shutdown flush
-    GetWithin(pending);
-    const BatcherStats stats = batcher.stats();
-    EXPECT_EQ(stats.flushes_shutdown, 1u);
-    EXPECT_EQ(stats.flushes_max_batch + stats.flushes_max_delay +
-                  stats.flushes_shutdown,
-              stats.batches);
-  }
-}
 
 /// One HTTP/1.0 request against the admin listener, read to EOF (the admin
 /// surface speaks Connection: close).
@@ -1073,7 +936,7 @@ TEST(AdminServerTest, ServesMetricsHealthAndReadiness) {
 TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
   const Fixture& f = ModelA();
   auto obs_registry = std::make_shared<obs::Registry>();
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = NewRegistry();
   // Attach BEFORE Load so the per-model latency histograms resolve.
   registry->AttachObs(obs_registry);
   registry->Load("alpha", f.model);
@@ -1113,7 +976,7 @@ TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
   ASSERT_EQ(stats.models.size(), 1u);
 
   // The scrape happens after the Stats round trip, so scraped transport
-  // counters are >= the wire-reported ones; batcher counters are quiescent
+  // counters are >= the wire-reported ones; predict counters are quiescent
   // (no predict between the two) and must match exactly.
   const std::string response = HttpGet(admin.port(), "/metrics");
   EXPECT_NE(response.find("HTTP/1.0 200"), std::string::npos);
@@ -1121,11 +984,13 @@ TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
   ASSERT_NE(body_at, std::string::npos);
   const std::string body = response.substr(body_at + 4);
   EXPECT_EQ(MetricValue(body,
-                        "grafics_batcher_requests_total{model=\"alpha\"}"),
+                        "grafics_predict_records_total{model=\"alpha\"}"),
             stats.models[0].requests);
   EXPECT_EQ(
-      MetricValue(body, "grafics_batcher_batches_total{model=\"alpha\"}"),
+      MetricValue(body, "grafics_predict_requests_total{model=\"alpha\"}"),
       stats.models[0].batches);
+  EXPECT_EQ(MetricValue(body, "grafics_predict_inflight{model=\"alpha\"}"),
+            0u);
   EXPECT_EQ(MetricValue(body, "grafics_model_generation{model=\"alpha\"}"),
             stats.models[0].generation);
   EXPECT_EQ(
@@ -1140,28 +1005,12 @@ TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
       *MetricValue(body, "grafics_transport_connections_harvested_total"),
       1u);
   EXPECT_GE(*MetricValue(body, "grafics_transport_harvest_sweeps_total"), 1u);
-  // Flush-reason counters sum to the batch count.
-  const std::uint64_t flush_sum =
-      *MetricValue(
-          body,
-          "grafics_batcher_flushes_total{model=\"alpha\",reason=\"max_batch"
-          "\"}") +
-      *MetricValue(
-          body,
-          "grafics_batcher_flushes_total{model=\"alpha\",reason=\"max_delay"
-          "\"}") +
-      *MetricValue(
-          body,
-          "grafics_batcher_flushes_total{model=\"alpha\",reason=\"shutdown"
-          "\"}");
-  EXPECT_EQ(flush_sum, stats.models[0].batches);
-  // Latency distributions observed on the request path.
+  // Latency distributions observed on the request path, once per record.
   EXPECT_EQ(*MetricValue(
-                body, "grafics_batcher_queue_wait_us_count{model=\"alpha\"}"),
+                body, "grafics_predict_queue_wait_us_count{model=\"alpha\"}"),
             stats.models[0].requests);
-  EXPECT_EQ(
-      *MetricValue(body, "grafics_batcher_predict_us_count{model=\"alpha\"}"),
-      stats.models[0].batches);
+  EXPECT_EQ(*MetricValue(body, "grafics_predict_us_count{model=\"alpha\"}"),
+            stats.models[0].requests);
   EXPECT_GE(*MetricValue(body, "grafics_transport_frame_decode_us_count"),
             static_cast<std::uint64_t>(n));
   // Threshold of 1us makes every predict a slow request.
@@ -1170,10 +1019,10 @@ TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
 
   // The wire dump is the same registry render as the admin scrape.
   const std::string wire = stats_client.Metrics();
-  EXPECT_NE(wire.find("# TYPE grafics_batcher_queue_wait_us histogram"),
+  EXPECT_NE(wire.find("# TYPE grafics_predict_queue_wait_us histogram"),
             std::string::npos);
   EXPECT_EQ(MetricValue(wire,
-                        "grafics_batcher_requests_total{model=\"alpha\"}"),
+                        "grafics_predict_records_total{model=\"alpha\"}"),
             stats.models[0].requests);
 
   admin.Stop();
@@ -1183,7 +1032,7 @@ TEST(ServerTest, MetricsScrapeMatchesStatsResponseEndToEnd) {
 TEST(ServerTest, TelemetryCoversIngestAndStoreFamilies) {
   const Fixture& f = ModelA();
   auto obs_registry = std::make_shared<obs::Registry>();
-  auto registry = std::make_shared<ModelRegistry>(QuickBatcherConfig());
+  auto registry = NewRegistry();
   registry->AttachObs(obs_registry);
   registry->Load("alpha", f.model);
   // A fresh store directory every run: artifact counts below are absolute.
