@@ -1,13 +1,11 @@
-// Portable vector-kernel layer for the inference/fold hot path.
+// Vector kernels for the inference/fold hot path.
 //
 // Every per-query and per-fold cycle in GRAFICS bottoms out in three
 // BLAS-level-1 loops — dot products, axpy, and squared-L2 distances — called
 // from the online-refinement SGD inner loop (embed/trainer.cc), the
 // centroid/kNN distance scans (cluster/), and agglomeration
 // (cluster/proximity_clusterer.cc). This header is the single place those
-// loops are implemented: a scalar reference backend plus AVX2 (x86) and NEON
-// (aarch64) implementations behind one function-pointer table, selected once
-// per process.
+// loops are implemented, as one portable implementation in simd.cc.
 //
 // Shapes: the one-to-one kernels (Dot / SquaredL2Distance / Axpy) operate on
 // raw contiguous arrays; the one-to-many kernels (DotMany /
@@ -15,94 +13,31 @@
 // block — the shape the centroid and kNN classifiers actually have — so a
 // whole scan is one call with no per-row span slicing.
 //
-// Determinism policy (see docs/performance.md):
-//  * The scalar backend is bit-identical to the pre-SIMD hand-written loops:
-//    same accumulation order, and its translation unit is compiled with
-//    -ffp-contract=off so no FMA contraction can change a rounding.
-//  * The backend is resolved ONCE per process (first kernel call or explicit
-//    PinBackend) and never changes afterwards on the production path, so a
-//    journal replay or a replica folding the same batches computes
-//    bit-identical models within that process — and across processes that
-//    pin the same backend via GRAFICS_SIMD.
-//  * SIMD backends reorder the reduction (lane-wise partial sums), so their
-//    Dot/SquaredL2Distance results may differ from scalar in the last bits;
-//    parity is tested to 1e-12 relative tolerance. Axpy is element-wise with
-//    no reduction, so every backend is bit-identical to scalar there.
+// Determinism (see docs/performance.md): Dot and SquaredL2Distance keep four
+// partial sums over i % 4, collapse them as (s0 + s1) + (s2 + s3), then add
+// the n % 4 tail left to right; Axpy is element-wise. simd.cc is compiled
+// with -ffp-contract=off, so the same build flags give the same bits on
+// every host. The kernels stay out of line for that reason: a caller's
+// translation unit may be built with FMA contraction.
 //
-// Selection order: PinBackend() if called before first use, else the
-// GRAFICS_SIMD environment variable (scalar|avx2|neon), else the best
-// backend the CPU supports. An explicitly requested backend that this build
-// or CPU cannot run falls back to scalar with a one-line stderr warning —
-// a fleet-wide GRAFICS_SIMD=avx2 must not crash the one NEON box — while
-// the daemon's --simd flag treats unavailability as a hard error.
+// No bounds checks here: callers (common/matrix.cc free functions, the
+// trainer, the classifiers) validate sizes first. `n`/`cols` may be zero.
 #pragma once
 
 #include <cstddef>
 
 namespace grafics::simd {
 
-enum class Backend { kScalar = 0, kAvx2 = 1, kNeon = 2 };
-
-/// Stable lowercase name ("scalar", "avx2", "neon") — the GRAFICS_SIMD
-/// vocabulary, the --simd flag vocabulary, and the obs gauge label.
-const char* BackendName(Backend backend);
-
-/// Parses a BackendName string. Throws grafics::Error on anything else.
-Backend ParseBackendName(const char* name);
-
-/// One backend's kernel implementations. All pointers are non-null.
-/// No bounds checks here: callers (common/matrix.cc free functions, the
-/// trainer, the classifiers) validate sizes before dispatch.
-struct Kernels {
-  double (*dot)(const double* a, const double* b, std::size_t n);
-  double (*squared_l2_distance)(const double* a, const double* b,
-                                std::size_t n);
-  /// y += alpha * x
-  void (*axpy)(double alpha, const double* x, double* y, std::size_t n);
-  /// out[r] = dot(query, rows + r * cols) for r in [0, num_rows).
-  void (*dot_many)(const double* query, const double* rows,
-                   std::size_t num_rows, std::size_t cols, double* out);
-  /// out[r] = squared_l2_distance(query, rows + r * cols).
-  void (*squared_l2_distance_many)(const double* query, const double* rows,
-                                   std::size_t num_rows, std::size_t cols,
-                                   double* out);
-};
-
-/// Kernel table for `backend`, or nullptr when this build/CPU cannot run it
-/// (e.g. kAvx2 on aarch64). The scalar table is always available. Used by
-/// the parity tests to exercise every backend without re-pinning the
-/// process-wide dispatch.
-const Kernels* KernelsFor(Backend backend);
-
-/// The process-wide active backend, resolving it on first call (see the
-/// selection order above). Stable for the remainder of the process unless
-/// PinBackend is called (tests only, on the production path the daemon pins
-/// before any kernel runs).
-Backend ActiveBackend();
-
-/// Pins the process-wide backend explicitly, overriding GRAFICS_SIMD and
-/// auto-detection. Returns false (and leaves the dispatch untouched) when
-/// the backend is unavailable on this build/CPU. The daemon calls this for
-/// --simd before loading models; tests use it to anchor scalar bit-identity.
-bool PinBackend(Backend backend);
-
-// --- hot-path entry points -------------------------------------------------
-// Thin dispatch through the active table. `n`/`cols` may be zero.
-
 double Dot(const double* a, const double* b, std::size_t n);
 double SquaredL2Distance(const double* a, const double* b, std::size_t n);
+/// y += alpha * x
 void Axpy(double alpha, const double* x, double* y, std::size_t n);
+/// out[r] = Dot(query, rows + r * cols, cols) for r in [0, num_rows).
 void DotMany(const double* query, const double* rows, std::size_t num_rows,
              std::size_t cols, double* out);
+/// out[r] = SquaredL2Distance(query, rows + r * cols, cols).
 void SquaredL2DistanceMany(const double* query, const double* rows,
                            std::size_t num_rows, std::size_t cols,
                            double* out);
-
-namespace internal {
-/// Backend factories (simd_avx2.cc / simd_neon.cc): the backend's kernel
-/// table when this build target AND this CPU can run it, else nullptr.
-const Kernels* Avx2Kernels();
-const Kernels* NeonKernels();
-}  // namespace internal
 
 }  // namespace grafics::simd

@@ -113,8 +113,8 @@ struct Pong {
 };
 
 /// Admin-triggered hot-reload of one named model (empty = default) from its
-/// on-disk artifact (the network sibling of SIGHUP). In-flight batches
-/// finish on the old snapshot; other models are untouched.
+/// on-disk artifact (the network sibling of SIGHUP). Admitted predict frames
+/// finish on the snapshot they were admitted on; other models are untouched.
 struct ReloadRequest {
   std::string model;
   /// 0 reloads from the recorded artifact (or the store's latest generation
@@ -164,10 +164,13 @@ enum class PublishSource : std::uint8_t {
 struct ModelStats {
   std::string name;
   std::uint64_t generation = 0;
+  /// Predict records admitted for this model.
   std::uint64_t requests = 0;
+  /// Predict requests (frames) admitted for this model.
   std::uint64_t batches = 0;
+  /// Most records in one admitted predict request so far.
   std::uint64_t max_batch = 0;
-  /// Records enqueued but not yet dispatched at the time of the request.
+  /// Admitted records not yet answered — what --max-queue-depth bounds.
   std::uint64_t queue_depth = 0;
   /// What published the snapshot now serving (disk load vs ingest fold-in).
   PublishSource last_publish_source = PublishSource::kDisk;

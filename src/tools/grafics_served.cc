@@ -71,13 +71,6 @@
 //   --slow-request-us N  log any predict whose total latency exceeds N
 //                     microseconds to stderr with a per-stage trace
 //                     breakdown (0 disables; independent of --admin-port)
-//   --simd NAME       pin the vector-kernel backend (scalar|avx2|neon)
-//                     before any model loads. Unlike the GRAFICS_SIMD
-//                     environment variable (which degrades to scalar with a
-//                     warning), an unavailable backend here is a hard usage
-//                     error — an operator pinning a fleet wants to know.
-//                     The active backend is exported as the info-gauge
-//                     grafics_simd_backend and logged at startup.
 //
 // SIGHUP hot-reloads every model from its artifact path, one by one: new
 // requests move to each fresh snapshot atomically while admitted ones
@@ -106,7 +99,6 @@
 
 #include "common/cli_flags.h"
 #include "common/error.h"
-#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "core/grafics.h"
 #include "ingest/ingest_pipeline.h"
@@ -163,8 +155,7 @@ int Usage() {
       "[--ingest-max-pending N]\n"
       "                      [--store-dir D] [--compact-every-n-folds N]\n"
       "                      [--max-journal-bytes B] [--admin-port P]\n"
-      "                      [--admin-port-file F] [--slow-request-us N]\n"
-      "                      [--simd scalar|avx2|neon]\n");
+      "                      [--admin-port-file F] [--slow-request-us N]\n");
   return 1;
 }
 
@@ -242,8 +233,7 @@ int main(int argc, char** argv) {
                "--ingest-batch", "--ingest-max-delay-ms",
                "--ingest-max-pending", "--store-dir",
                "--compact-every-n-folds", "--max-journal-bytes",
-               "--admin-port", "--admin-port-file", "--slow-request-us",
-               "--simd"});
+               "--admin-port", "--admin-port-file", "--slow-request-us"});
   } catch (const std::exception& e) {
     std::fprintf(stderr, "grafics_served: %s\n", e.what());
     return Usage();
@@ -306,20 +296,6 @@ int main(int argc, char** argv) {
     const std::vector<std::string> model_flags = FlagValues(args, "--model");
     if (positional_model.empty() && model_flags.empty()) return Usage();
 
-    // Pin the vector-kernel backend before anything numeric runs (model
-    // load replays journals through the trainer). --simd is a hard error on
-    // an unavailable backend, unlike the GRAFICS_SIMD env fallback.
-    const std::string simd_flag = FlagValue(args, "--simd", "");
-    if (!simd_flag.empty()) {
-      Require(simd::PinBackend(simd::ParseBackendName(simd_flag.c_str())),
-              "--simd " + simd_flag + ": backend unavailable on this "
-              "build/CPU");
-    }
-    const simd::Backend simd_backend = simd::ActiveBackend();
-    std::printf("grafics_served: simd backend = %s\n",
-                simd::BackendName(simd_backend));
-    std::fflush(stdout);
-
     // Before the (slow) model loads: an early SIGHUP must queue a reload,
     // not kill the process with the default action.
     InstallSignalHandlers();
@@ -327,14 +303,6 @@ int main(int argc, char** argv) {
     // even without --admin-port); the registry must attach before models
     // load so per-model latency histograms resolve at Load time.
     auto obs_registry = std::make_shared<obs::Registry>();
-    // Info gauge: constant 1, the backend name rides in the label so a
-    // mixed fleet shows up as distinct series on one dashboard.
-    obs_registry
-        ->GetGauge("grafics_simd_backend",
-                   "Active vector-kernel backend (info gauge; the backend "
-                   "label carries scalar|avx2|neon)",
-                   {{"backend", simd::BackendName(simd_backend)}})
-        ->Set(1);
     auto registry = std::make_shared<serve::ModelRegistry>(
         std::make_shared<ThreadPool>(predict_threads));
     registry->AttachObs(obs_registry);

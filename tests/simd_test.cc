@@ -1,22 +1,16 @@
-// Vector-kernel layer tests: scalar-vs-SIMD parity across awkward sizes and
-// alignments, NaN/inf propagation, backend selection (GRAFICS_SIMD /
-// PinBackend), and the scalar bit-identity anchor — a seeded RefineNewNodes
-// run whose golden values were captured from the pre-SIMD kernels.
-//
-// Suite order matters and is encoded in declaration order: SimdEnvTest runs
-// first (it observes the process-wide dispatch before anything pins it),
-// the parity suites use KernelsFor() tables directly (dispatch-independent),
-// and SimdPinTest/SimdGoldenTest pin backends last.
+// Vector-kernel tests: exact goldens that pin the accumulation order of Dot
+// and SquaredL2Distance, the one-to-many kernels against the one-to-one
+// ones, zero-length and NaN/inf behaviour, and a seeded RefineNewNodes run
+// whose golden values were captured before the kernel layer existed.
 #include "common/simd.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
-#include "common/error.h"
 #include "common/rng.h"
 #include "embed/embedding_store.h"
 #include "embed/trainer.h"
@@ -27,222 +21,144 @@
 namespace grafics {
 namespace {
 
-std::vector<simd::Backend> AvailableSimdBackends() {
-  std::vector<simd::Backend> backends;
-  for (const simd::Backend b : {simd::Backend::kAvx2, simd::Backend::kNeon}) {
-    if (simd::KernelsFor(b) != nullptr) backends.push_back(b);
-  }
-  return backends;
-}
-
-std::vector<double> RandomVector(std::size_t n, Rng& rng) {
+// Rng::Uniform is exact IEEE arithmetic on xoshiro256** bits, so these are
+// the same doubles on every host.
+std::vector<double> FixedVector(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
   std::vector<double> v(n);
   for (double& x : v) x = rng.Uniform(-2.0, 2.0);
   return v;
 }
 
-// The ctest registration simd_test_env_scalar re-runs this suite with
-// GRAFICS_SIMD=scalar in the environment; under that registration the very
-// first dispatch resolution must honor the variable. Without the variable
-// the test only asserts the auto-detected backend is actually runnable.
-TEST(SimdEnvTest, EnvironmentSelectsBackend) {
-  const char* env = std::getenv("GRAFICS_SIMD");
-  const simd::Backend active = simd::ActiveBackend();
-  if (env != nullptr && env[0] != '\0') {
-    const simd::Backend requested = simd::ParseBackendName(env);
-    if (simd::KernelsFor(requested) != nullptr) {
-      EXPECT_EQ(active, requested);
-    } else {
-      EXPECT_EQ(active, simd::Backend::kScalar);
-    }
-  } else {
-    EXPECT_NE(simd::KernelsFor(active), nullptr);
+double LeftToRightDot(const double* a, const double* b, std::size_t n) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+double LeftToRightSquaredL2Distance(const double* a, const double* b,
+                                    std::size_t n) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+  }
+  return sum;
+}
+
+// --- accumulation-order goldens --------------------------------------------
+// Captured from the 4-lane AVX2 kernels this implementation replaced, on
+// FixedVector(n, 100 + n) and FixedVector(n, 200 + n). n = 3 is tail-only,
+// 8 has no tail, 11 and 67 have both. Exact equality: a different order
+// changes trained models, journal replay and checkpoint restore bits.
+struct OrderGolden {
+  std::size_t n;
+  double dot;
+  double squared_l2_distance;
+};
+
+constexpr OrderGolden kOrderGoldens[] = {
+    {3, -3.3125504039289857, 13.933493599448962},
+    {8, -1.946417487293159, 26.479959341947705},
+    {11, 7.1162633474034829, 12.212496028748809},
+    {67, -1.0195764765100319, 181.88943853332881},
+};
+
+TEST(SimdKernelTest, DotAndDistanceMatchOrderGoldens) {
+  for (const OrderGolden& golden : kOrderGoldens) {
+    const std::vector<double> a = FixedVector(golden.n, 100 + golden.n);
+    const std::vector<double> b = FixedVector(golden.n, 200 + golden.n);
+    EXPECT_EQ(simd::Dot(a.data(), b.data(), golden.n), golden.dot)
+        << "n=" << golden.n;
+    EXPECT_EQ(simd::SquaredL2Distance(a.data(), b.data(), golden.n),
+              golden.squared_l2_distance)
+        << "n=" << golden.n;
   }
 }
 
-TEST(SimdBackendTest, NamesRoundTrip) {
-  EXPECT_STREQ(simd::BackendName(simd::Backend::kScalar), "scalar");
-  EXPECT_STREQ(simd::BackendName(simd::Backend::kAvx2), "avx2");
-  EXPECT_STREQ(simd::BackendName(simd::Backend::kNeon), "neon");
-  EXPECT_EQ(simd::ParseBackendName("scalar"), simd::Backend::kScalar);
-  EXPECT_EQ(simd::ParseBackendName("avx2"), simd::Backend::kAvx2);
-  EXPECT_EQ(simd::ParseBackendName("neon"), simd::Backend::kNeon);
-  EXPECT_THROW(simd::ParseBackendName("sse9"), Error);
-  EXPECT_THROW(simd::ParseBackendName(""), Error);
-  EXPECT_THROW(simd::ParseBackendName("SCALAR"), Error);
+// Rows of a Matrix with odd cols start at arbitrary offsets.
+TEST(SimdKernelTest, UnalignedOffsetMatchesOrderGolden) {
+  const std::vector<double> pool = FixedVector(160, 7);
+  const double* a = pool.data() + 3;
+  const double* b = pool.data() + 83;
+  EXPECT_EQ(simd::Dot(a, b, 67), -1.3919553600714889);
+  EXPECT_EQ(simd::SquaredL2Distance(a, b, 67), 205.52148055102069);
 }
 
-TEST(SimdBackendTest, ScalarAlwaysAvailable) {
-  ASSERT_NE(simd::KernelsFor(simd::Backend::kScalar), nullptr);
+// The goldens pin the order only if another order misses them: a plain
+// left-to-right loop rounds these inputs differently.
+TEST(SimdKernelTest, LeftToRightOrderMissesOrderGoldens) {
+  const OrderGolden& golden = kOrderGoldens[3];
+  const std::vector<double> a = FixedVector(golden.n, 100 + golden.n);
+  const std::vector<double> b = FixedVector(golden.n, 200 + golden.n);
+  EXPECT_NE(LeftToRightDot(a.data(), b.data(), golden.n), golden.dot);
+  EXPECT_NE(LeftToRightSquaredL2Distance(a.data(), b.data(), golden.n),
+            golden.squared_l2_distance);
 }
 
-// Dims 1..67 cover every vector-width remainder (0..3 for AVX2's 4-wide,
-// 0..1 for NEON's 2-wide) plus empty-tail and tail-only shapes.
-TEST(SimdParityTest, DotAndDistanceWithinRelativeTolerance) {
-  const simd::Kernels* scalar = simd::KernelsFor(simd::Backend::kScalar);
-  Rng rng(42);
-  for (const simd::Backend backend : AvailableSimdBackends()) {
-    const simd::Kernels* kernels = simd::KernelsFor(backend);
-    for (std::size_t n = 1; n <= 67; ++n) {
-      const std::vector<double> a = RandomVector(n, rng);
-      const std::vector<double> b = RandomVector(n, rng);
-      const double want_dot = scalar->dot(a.data(), b.data(), n);
-      const double got_dot = kernels->dot(a.data(), b.data(), n);
-      EXPECT_NEAR(got_dot, want_dot, 1e-12 * std::abs(want_dot) + 1e-15)
-          << simd::BackendName(backend) << " dot n=" << n;
-      const double want_d =
-          scalar->squared_l2_distance(a.data(), b.data(), n);
-      const double got_d = kernels->squared_l2_distance(a.data(), b.data(), n);
-      EXPECT_NEAR(got_d, want_d, 1e-12 * want_d + 1e-15)
-          << simd::BackendName(backend) << " sqdist n=" << n;
-    }
-  }
-}
-
-// Axpy has no reduction: every backend performs the same two roundings per
-// element, so the guarantee is exact equality, not a tolerance.
-TEST(SimdParityTest, AxpyBitIdenticalAcrossBackends) {
-  Rng rng(43);
-  const simd::Kernels* scalar = simd::KernelsFor(simd::Backend::kScalar);
-  for (const simd::Backend backend : AvailableSimdBackends()) {
-    const simd::Kernels* kernels = simd::KernelsFor(backend);
-    for (std::size_t n = 1; n <= 67; ++n) {
-      const std::vector<double> x = RandomVector(n, rng);
-      std::vector<double> y_scalar = RandomVector(n, rng);
-      std::vector<double> y_simd = y_scalar;
-      const double alpha = rng.Uniform(-3.0, 3.0);
-      scalar->axpy(alpha, x.data(), y_scalar.data(), n);
-      kernels->axpy(alpha, x.data(), y_simd.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(y_simd[i], y_scalar[i])
-            << simd::BackendName(backend) << " axpy n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(SimdParityTest, ManyKernelsMatchPerRowScalar) {
-  Rng rng(44);
-  const simd::Kernels* scalar = simd::KernelsFor(simd::Backend::kScalar);
+TEST(SimdKernelTest, ManyKernelsEqualPerRowKernels) {
   const std::size_t rows = 9;
-  for (const simd::Backend backend : AvailableSimdBackends()) {
-    const simd::Kernels* kernels = simd::KernelsFor(backend);
-    for (const std::size_t cols : {1ul, 2ul, 7ul, 16ul, 33ul}) {
-      const std::vector<double> query = RandomVector(cols, rng);
-      const std::vector<double> block = RandomVector(rows * cols, rng);
-      std::vector<double> got(rows), want(rows);
-      kernels->dot_many(query.data(), block.data(), rows, cols, got.data());
-      for (std::size_t r = 0; r < rows; ++r) {
-        want[r] = scalar->dot(query.data(), block.data() + r * cols, cols);
-        EXPECT_NEAR(got[r], want[r], 1e-12 * std::abs(want[r]) + 1e-15)
-            << simd::BackendName(backend) << " dot_many cols=" << cols;
-      }
-      kernels->squared_l2_distance_many(query.data(), block.data(), rows,
-                                        cols, got.data());
-      for (std::size_t r = 0; r < rows; ++r) {
-        want[r] = scalar->squared_l2_distance(
-            query.data(), block.data() + r * cols, cols);
-        EXPECT_NEAR(got[r], want[r], 1e-12 * want[r] + 1e-15)
-            << simd::BackendName(backend) << " sqdist_many cols=" << cols;
-      }
+  for (const std::size_t cols : {1ul, 3ul, 8ul, 11ul, 33ul}) {
+    const std::vector<double> query = FixedVector(cols, 300 + cols);
+    const std::vector<double> block = FixedVector(rows * cols, 400 + cols);
+    std::vector<double> dots(rows), distances(rows);
+    simd::DotMany(query.data(), block.data(), rows, cols, dots.data());
+    simd::SquaredL2DistanceMany(query.data(), block.data(), rows, cols,
+                                distances.data());
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* row = block.data() + r * cols;
+      EXPECT_EQ(dots[r], simd::Dot(query.data(), row, cols))
+          << "cols=" << cols << " r=" << r;
+      EXPECT_EQ(distances[r], simd::SquaredL2Distance(query.data(), row, cols))
+          << "cols=" << cols << " r=" << r;
     }
   }
 }
 
-// The kernels take raw pointers at arbitrary offsets (Matrix rows with odd
-// cols, sub-spans): exercise deliberately unaligned starts — every SIMD
-// load must be an unaligned load.
-TEST(SimdParityTest, UnalignedRowOffsets) {
-  Rng rng(45);
-  const simd::Kernels* scalar = simd::KernelsFor(simd::Backend::kScalar);
-  const std::vector<double> pool = RandomVector(256, rng);
-  for (const simd::Backend backend : AvailableSimdBackends()) {
-    const simd::Kernels* kernels = simd::KernelsFor(backend);
-    for (const std::size_t offset : {1ul, 2ul, 3ul, 5ul, 7ul}) {
-      const std::size_t n = 64;
-      const double* a = pool.data() + offset;
-      const double* b = pool.data() + 128 + offset;
-      const double want = scalar->dot(a, b, n);
-      EXPECT_NEAR(kernels->dot(a, b, n), want, 1e-12 * std::abs(want) + 1e-15)
-          << simd::BackendName(backend) << " offset=" << offset;
-    }
-  }
-}
-
-TEST(SimdParityTest, ZeroLengthIsSafe) {
+TEST(SimdKernelTest, ZeroLengthIsSafe) {
   const std::vector<double> empty;
   double out = 1.0;
-  for (const simd::Backend backend :
-       {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kNeon}) {
-    const simd::Kernels* kernels = simd::KernelsFor(backend);
-    if (kernels == nullptr) continue;
-    EXPECT_EQ(kernels->dot(empty.data(), empty.data(), 0), 0.0);
-    EXPECT_EQ(kernels->squared_l2_distance(empty.data(), empty.data(), 0),
-              0.0);
-    kernels->axpy(2.0, empty.data(), nullptr, 0);
-    kernels->dot_many(empty.data(), empty.data(), 0, 0, &out);
-    EXPECT_EQ(out, 1.0);  // num_rows == 0 writes nothing
-  }
+  EXPECT_EQ(simd::Dot(empty.data(), empty.data(), 0), 0.0);
+  EXPECT_EQ(simd::SquaredL2Distance(empty.data(), empty.data(), 0), 0.0);
+  simd::Axpy(2.0, empty.data(), nullptr, 0);
+  simd::DotMany(empty.data(), empty.data(), 0, 0, &out);
+  EXPECT_EQ(out, 1.0);  // num_rows == 0 writes nothing
 }
 
-TEST(SimdParityTest, NanAndInfPropagate) {
+TEST(SimdKernelTest, NanAndInfPropagate) {
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (const simd::Backend backend :
-       {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kNeon}) {
-    const simd::Kernels* kernels = simd::KernelsFor(backend);
-    if (kernels == nullptr) continue;
-    // NaN anywhere poisons the reduction, in or out of the vector body.
-    for (const std::size_t n : {3ul, 11ul}) {
-      std::vector<double> a(n, 1.0);
-      std::vector<double> b(n, 2.0);
-      a[n - 1] = kNan;
-      EXPECT_TRUE(std::isnan(kernels->dot(a.data(), b.data(), n)))
-          << simd::BackendName(backend) << " n=" << n;
-      EXPECT_TRUE(
-          std::isnan(kernels->squared_l2_distance(a.data(), b.data(), n)))
-          << simd::BackendName(backend) << " n=" << n;
-      a[n - 1] = kInf;
-      EXPECT_EQ(kernels->dot(a.data(), b.data(), n), kInf);
-      // (inf - 2)^2 = inf.
-      EXPECT_EQ(kernels->squared_l2_distance(a.data(), b.data(), n), kInf);
-      // inf - inf inside the distance is NaN.
-      b[n - 1] = kInf;
-      EXPECT_TRUE(
-          std::isnan(kernels->squared_l2_distance(a.data(), b.data(), n)));
-      std::vector<double> y(n, 0.0);
-      kernels->axpy(1.0, a.data(), y.data(), n);
-      EXPECT_EQ(y[n - 1], kInf);
-      kernels->axpy(-1.0, a.data(), y.data(), n);  // inf + (-inf) = NaN
-      EXPECT_TRUE(std::isnan(y[n - 1]));
-    }
+  // NaN anywhere poisons the reduction: n = 8 puts it in a partial sum,
+  // n = 3 and 11 in the tail.
+  for (const std::size_t n : {3ul, 8ul, 11ul}) {
+    std::vector<double> a(n, 1.0);
+    std::vector<double> b(n, 2.0);
+    a[n - 1] = kNan;
+    EXPECT_TRUE(std::isnan(simd::Dot(a.data(), b.data(), n))) << "n=" << n;
+    EXPECT_TRUE(std::isnan(simd::SquaredL2Distance(a.data(), b.data(), n)))
+        << "n=" << n;
+    a[n - 1] = kInf;
+    EXPECT_EQ(simd::Dot(a.data(), b.data(), n), kInf);
+    // (inf - 2)^2 = inf.
+    EXPECT_EQ(simd::SquaredL2Distance(a.data(), b.data(), n), kInf);
+    // inf - inf inside the distance is NaN.
+    b[n - 1] = kInf;
+    EXPECT_TRUE(std::isnan(simd::SquaredL2Distance(a.data(), b.data(), n)));
+    std::vector<double> y(n, 0.0);
+    simd::Axpy(1.0, a.data(), y.data(), n);
+    EXPECT_EQ(y[n - 1], kInf);
+    simd::Axpy(-1.0, a.data(), y.data(), n);  // inf + (-inf) = NaN
+    EXPECT_TRUE(std::isnan(y[n - 1]));
   }
 }
 
-TEST(SimdPinTest, PinBackendOverridesDispatch) {
-  ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
-  EXPECT_EQ(simd::ActiveBackend(), simd::Backend::kScalar);
-  for (const simd::Backend backend : AvailableSimdBackends()) {
-    EXPECT_TRUE(simd::PinBackend(backend));
-    EXPECT_EQ(simd::ActiveBackend(), backend);
-  }
-  // An unavailable backend leaves the pin untouched.
-  for (const simd::Backend backend :
-       {simd::Backend::kAvx2, simd::Backend::kNeon}) {
-    if (simd::KernelsFor(backend) != nullptr) continue;
-    const simd::Backend before = simd::ActiveBackend();
-    EXPECT_FALSE(simd::PinBackend(backend));
-    EXPECT_EQ(simd::ActiveBackend(), before);
-  }
-  ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
-}
-
-// --- scalar bit-identity anchor -------------------------------------------
-// Golden values captured from the pre-SIMD build (commit 4af2caf) with the
-// identical seeded pipeline: offline training on a two-community graph, one
-// grown node, RefineNewNodes for 100 iterations. GRAFICS_SIMD=scalar (or
-// PinBackend(kScalar), as here) must reproduce them to the last bit — this
-// is the replay/replication guarantee, not a numeric-tolerance test.
+// --- refine golden ----------------------------------------------------------
+// Golden values captured from the build before the kernel layer existed
+// (commit 4af2caf) with the identical seeded pipeline: offline training on a
+// two-community graph, one grown node, RefineNewNodes for 100 iterations.
+// They must reproduce to the last bit. At these small embedding magnitudes
+// the sigmoid absorbs last-bit kernel differences, so this run cannot see a
+// reduction order; the SimdKernelTest order goldens above pin that.
 
 rf::SignalRecord MakeRecord(
     std::initializer_list<std::pair<int, double>> observations) {
@@ -253,9 +169,7 @@ rf::SignalRecord MakeRecord(
   return record;
 }
 
-TEST(SimdGoldenTest, ScalarBackendReproducesPreSimdRefineRun) {
-  ASSERT_TRUE(simd::PinBackend(simd::Backend::kScalar));
-
+TEST(SimdGoldenTest, ReproducesPreSimdRefineRun) {
   std::vector<rf::SignalRecord> records;
   for (int base : {100, 200}) {
     for (int r = 0; r < 4; ++r) {
