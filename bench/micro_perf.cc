@@ -375,6 +375,6 @@ void BM_RefineNewNodes(benchmark::State& state) {
                           static_cast<std::int64_t>(iterations));
   ReportLatencyPercentiles(state, std::move(samples_ns));
 }
-BENCHMARK(BM_RefineNewNodes)->Arg(200)->Arg(600)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RefineNewNodes)->Arg(100)->Arg(600)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -40,8 +40,12 @@ void Grafics::Train(const std::vector<rf::SignalRecord>& records) {
       cluster::ClusterEmbeddings(points, labels, config_.clusterer));
   classifier_ =
       std::make_shared<const cluster::CentroidClassifier>(points, *clustering_);
-  knn_classifier_ = std::make_shared<const cluster::KnnClassifier>(
-      points, *clustering_, config_.knn);
+  // Only a kKnn model ever asks the kNN head.
+  knn_classifier_ =
+      config_.head == InferenceHead::kKnn
+          ? std::make_shared<const cluster::KnnClassifier>(
+                points, *clustering_, config_.knn)
+          : nullptr;
   RebuildNegativeSampler();
 }
 
@@ -332,10 +336,10 @@ Grafics Grafics::LoadModel(std::istream& in) {
     clustering.merge_history[i].first = ReadU64(in);
     clustering.merge_history[i].second = ReadU64(in);
   }
+  // No kNN head: artifacts store no head choice, so a loaded model answers
+  // by centroid (config.head keeps its default).
   system.clustering_ =
       std::make_shared<const cluster::ClusteringResult>(std::move(clustering));
-  system.knn_classifier_ = std::make_shared<const cluster::KnnClassifier>(
-      system.TrainingEmbeddings(), *system.clustering_, config.knn);
   if (version >= 2) {
     system.negative_sampler_ =
         std::make_shared<const embed::NegativeSamplerSet>(

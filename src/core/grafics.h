@@ -39,8 +39,11 @@ struct GraficsConfig {
   graph::WeightFn custom_weight;
   embed::TrainerConfig trainer;
   cluster::ClustererConfig clusterer;
-  /// SGD steps per new node during online inference (Sec. V-A).
-  std::size_t online_refine_iterations = 600;
+  /// SGD steps per new node during online inference (Sec. V-A), for
+  /// predicts and folds alike. From the E-LINE-paired warm start, 100 steps
+  /// match 600 on fresh and folded accuracy at dims 8-64 (EXPERIMENTS.md);
+  /// dim 4 is under-converged at 100 and needs ~600.
+  std::size_t online_refine_iterations = 100;
   InferenceHead head = InferenceHead::kCentroid;
   cluster::KnnConfig knn;  // used when head == kKnn
 
@@ -197,6 +200,7 @@ class Grafics {
   // extension sharing the previous groups.
   std::shared_ptr<const cluster::ClusteringResult> clustering_;
   std::shared_ptr<const cluster::CentroidClassifier> classifier_;
+  // Null unless config_.head == kKnn: no other model ever consults it.
   std::shared_ptr<const cluster::KnnClassifier> knn_classifier_;
   // Negative sampler over the frozen base model, shared by all predictions.
   std::shared_ptr<const embed::NegativeSamplerSet> negative_sampler_;

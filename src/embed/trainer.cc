@@ -258,16 +258,19 @@ void RefineNewNodesImpl(const Graph& graph,
         graph.NeighborsOf(node);
     if (neighbors.empty()) continue;  // isolated: keep random init
 
-    // Warm start: weighted average of neighbor embeddings places the node
-    // inside its local neighborhood before SGD refinement.
+    // Warm start in E-LINE's pairing: the node's ego row is scored against
+    // its neighbors' context rows (Eq. 5) and its context row against their
+    // ego rows (Eq. 8), so each starts at the weighted mean of the rows it
+    // is scored against. That already lies near the refined optimum; SGD
+    // below only polishes it.
     const std::span<double> node_ego = store.Ego(node);
     const std::span<double> node_context = store.Context(node);
     std::fill(node_ego.begin(), node_ego.end(), 0.0);
     std::fill(node_context.begin(), node_context.end(), 0.0);
     double weight_sum = 0.0;
     for (const graph::Neighbor& nb : neighbors) {
-      Axpy(nb.weight, reads.Ego(nb.node), node_ego);
-      Axpy(nb.weight, reads.Context(nb.node), node_context);
+      Axpy(nb.weight, reads.Context(nb.node), node_ego);
+      Axpy(nb.weight, reads.Ego(nb.node), node_context);
       weight_sum += nb.weight;
     }
     Scale(node_ego, 1.0 / weight_sum);

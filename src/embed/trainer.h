@@ -58,15 +58,16 @@ struct TrainerConfig {
 EmbeddingStore TrainEmbeddings(const graph::BipartiteGraph& graph,
                                const TrainerConfig& config);
 
-/// Online-inference refinement: optimizes only the embeddings of
-/// `new_nodes`, holding everything else fixed. New nodes are warm-started
-/// from the weighted average of their neighbors' embeddings, then refined
-/// with `iterations` SGD steps each. `store` must already contain rows for
-/// the new nodes (EmbeddingStore::Grow).
+/// Online-inference refinement: learns the embeddings of `new_nodes` while
+/// every other row stays fixed. Each new node is warm-started in E-LINE's
+/// pairing: its ego row at the weighted mean of its neighbors' context rows,
+/// since Eq. 5 scores ego against context, and its context row at the mean
+/// of their ego rows (Eq. 8). Then `iterations` SGD steps refine it. `store`
+/// must already contain rows for the new nodes (EmbeddingStore::Grow).
 void RefineNewNodes(const graph::BipartiteGraph& graph,
                     std::span<const graph::NodeId> new_nodes,
                     EmbeddingStore& store, const TrainerConfig& config,
-                    std::size_t iterations = 200);
+                    std::size_t iterations);
 
 /// As above, but reuses a precomputed negative-sampler set. The hot path
 /// for per-record online inference: building the degree^{3/4} table is

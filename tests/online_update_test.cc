@@ -2,7 +2,10 @@
 // of the ingest pipeline (Grafics::Clone), and the k-NN inference head.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/grafics.h"
+#include "core/inference_context.h"
 #include "core/metrics.h"
 #include "synth/presets.h"
 
@@ -150,6 +153,61 @@ TEST(OnlineUpdateTest, KnnHeadMatchesCentroidHeadOnEasyData) {
       ComputeMetrics(truth, knn_system.PredictBatch(test.records()));
   EXPECT_GT(centroid_metrics.micro.f_score, 0.85);
   EXPECT_GT(knn_metrics.micro.f_score, 0.80);
+}
+
+// Only a kKnn model holds a kNN head. Head choice never changes training,
+// so a centroid model owns exactly the head's bytes less than a kKnn model
+// trained alike. Artifacts store no head, so a loaded model holds none
+// either: loading sizes vectors exactly, so it may own a little less than
+// the centroid model, but never the head's bytes more.
+TEST(OnlineUpdateTest, OnlyKnnModelsHoldAKnnHead) {
+  auto preset = synth::CampusBuildingConfig(43, 60);
+  auto sim = preset.MakeSimulator();
+  rf::Dataset dataset = sim.GenerateDataset();
+  Rng rng(9);
+  dataset.KeepLabelsPerFloor(4, rng);
+  GraficsConfig knn_config = FastConfig();
+  knn_config.head = InferenceHead::kKnn;
+  Grafics centroid_system(FastConfig());
+  Grafics knn_system(knn_config);
+  centroid_system.Train(dataset.records());
+  knn_system.Train(dataset.records());
+  std::stringstream artifact;
+  knn_system.SaveModel(artifact);
+  const Grafics loaded = Grafics::LoadModel(artifact);
+
+  const cluster::KnnClassifier head(centroid_system.TrainingEmbeddings(),
+                                    centroid_system.clustering(),
+                                    knn_config.knn);
+  const std::size_t centroid_bytes = centroid_system.MemoryBytes().owned_bytes;
+  EXPECT_EQ(knn_system.MemoryBytes().owned_bytes,
+            centroid_bytes + head.ApproxHeapBytes());
+  EXPECT_LE(loaded.MemoryBytes().owned_bytes, centroid_bytes);
+  EXPECT_TRUE(loaded.DeltaCompatible(loaded.Clone()));
+}
+
+TEST(OnlineUpdateTest, KnnHeadAnswersFromVirtuallyLabeledTrainingRows) {
+  auto preset = synth::CampusBuildingConfig(43, 60);
+  auto sim = preset.MakeSimulator();
+  rf::Dataset dataset = sim.GenerateDataset();
+  Rng rng(9);
+  dataset.KeepLabelsPerFloor(4, rng);
+  GraficsConfig config = FastConfig();
+  config.head = InferenceHead::kKnn;
+  Grafics system(config);
+  system.Train(dataset.records());
+
+  const cluster::KnnClassifier head(system.TrainingEmbeddings(),
+                                    system.clustering(), config.knn);
+  InferenceContext context = system.MakeContext();
+  for (int i = 0; i < 12; ++i) {
+    const int floor = i % 3;
+    const rf::SignalRecord probe = sim.MeasureAt(
+        {8.0 + 4.0 * i, 15.0 + 2.0 * i, floor * 4.0 + 1.2}, floor);
+    const std::optional<rf::FloorId> answer = context.Predict(probe);
+    ASSERT_TRUE(answer.has_value()) << i;
+    EXPECT_EQ(*answer, head.Predict(context.QueryEmbedding())) << i;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Vector-kernel tests: exact goldens that pin the accumulation order of Dot
 // and SquaredL2Distance, the one-to-many kernels against the one-to-one
-// ones, zero-length and NaN/inf behaviour, and a seeded RefineNewNodes run
-// whose golden values were captured before the kernel layer existed.
+// ones, zero-length and NaN/inf behaviour, a seeded RefineNewNodes run
+// pinned to golden values, and the E-LINE pairing of its warm start.
 #include "common/simd.h"
 
 #include <gtest/gtest.h>
@@ -153,12 +153,14 @@ TEST(SimdKernelTest, NanAndInfPropagate) {
 }
 
 // --- refine golden ----------------------------------------------------------
-// Golden values captured from the build before the kernel layer existed
-// (commit 4af2caf) with the identical seeded pipeline: offline training on a
-// two-community graph, one grown node, RefineNewNodes for 100 iterations.
-// They must reproduce to the last bit. At these small embedding magnitudes
-// the sigmoid absorbs last-bit kernel differences, so this run cannot see a
-// reduction order; the SimdKernelTest order goldens above pin that.
+// A seeded pipeline: offline training on a two-community graph, one grown
+// node, then RefineNewNodes. The 100-step run must reproduce its golden
+// values to the last bit. They were captured when the warm start took
+// E-LINE's pairing (ego from the neighbors' context rows); the values from
+// before that change start every row elsewhere and no longer apply. At these
+// small embedding magnitudes the sigmoid absorbs last-bit kernel
+// differences, so this run cannot see a reduction order; the SimdKernelTest
+// order goldens above pin that.
 
 rf::SignalRecord MakeRecord(
     std::initializer_list<std::pair<int, double>> observations) {
@@ -169,7 +171,14 @@ rf::SignalRecord MakeRecord(
   return record;
 }
 
-TEST(SimdGoldenTest, ReproducesPreSimdRefineRun) {
+struct RefineRun {
+  graph::BipartiteGraph graph;
+  embed::EmbeddingStore store;
+  embed::TrainerConfig config;
+  graph::NodeId new_node = 0;
+};
+
+RefineRun TrainAndGrow() {
   std::vector<rf::SignalRecord> records;
   for (int base : {100, 200}) {
     for (int r = 0; r < 4; ++r) {
@@ -193,24 +202,59 @@ TEST(SimdGoldenTest, ReproducesPreSimdRefineRun) {
       graph::OffsetWeight(120.0));
   Rng rng(5);
   store.Grow(graph.NumNodes() - nodes_before, rng);
-  const std::vector<graph::NodeId> new_nodes = {new_node};
-  embed::RefineNewNodes(graph, new_nodes, store, config, 100);
+  return {std::move(graph), std::move(store), config, new_node};
+}
+
+TEST(SimdGoldenTest, PinsSeededRefineRun) {
+  RefineRun run = TrainAndGrow();
+  const std::vector<graph::NodeId> new_nodes = {run.new_node};
+  embed::RefineNewNodes(run.graph, new_nodes, run.store, run.config, 100);
 
   const double kGoldenEgo[8] = {
-      -0.034028237245881714, 0.013271457364177671, 0.033890079274176844,
-      0.045236679827145493,  -0.027931263889281969, -0.032403083282112104,
-      -0.0013361076425529351, -0.09004115025224993};
+      -0.029266999156410175, 0.035699241700694349,  0.0007660439034434624,
+      -0.0015968621363021925, 0.019200026456650882, 0.038618189103000092,
+      -0.015290114430180827, 0.0065520807478915057};
   const double kGoldenContext[8] = {
-      0.037897748725178017,  0.036564981516817689, -0.018372312502568804,
-      -0.02642353027513553,  0.0048045964950852145, 0.040115729542545178,
-      -0.037778109816078681, 0.087218899627806504};
-  const std::span<const double> ego = store.Ego(new_node);
-  const std::span<const double> context = store.Context(new_node);
+      0.033196192237910524,  0.014590889697722414, 0.01401994155351138,
+      0.019407395596787932,  -0.041395222762747631, -0.029413003095558301,
+      -0.024090178830223692, -0.0074003991358116061};
+  const std::span<const double> ego = run.store.Ego(run.new_node);
+  const std::span<const double> context = run.store.Context(run.new_node);
   ASSERT_EQ(ego.size(), 8u);
   ASSERT_EQ(context.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(ego[i], kGoldenEgo[i]) << "ego[" << i << "]";
     EXPECT_EQ(context[i], kGoldenContext[i]) << "context[" << i << "]";
+  }
+}
+
+// With no SGD steps the rows are the warm start alone, in E-LINE's pairing:
+// ego is scored against context rows (Eq. 5) and context against ego rows
+// (Eq. 8), so the new ego row starts at the weighted mean of the neighbors'
+// context rows and the new context row at the mean of their ego rows.
+TEST(SimdGoldenTest, WarmStartTakesEgoFromContextRowsAndContextFromEgoRows) {
+  RefineRun run = TrainAndGrow();
+  const std::vector<graph::NodeId> new_nodes = {run.new_node};
+  embed::RefineNewNodes(run.graph, new_nodes, run.store, run.config, 0);
+
+  std::vector<double> expected_ego(8, 0.0);
+  std::vector<double> expected_context(8, 0.0);
+  double weight_sum = 0.0;
+  for (const graph::Neighbor& nb : run.graph.NeighborsOf(run.new_node)) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      expected_ego[i] += nb.weight * run.store.Context(nb.node)[i];
+      expected_context[i] += nb.weight * run.store.Ego(nb.node)[i];
+    }
+    weight_sum += nb.weight;
+  }
+  ASSERT_EQ(run.graph.NeighborsOf(run.new_node).size(), 3u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_DOUBLE_EQ(run.store.Ego(run.new_node)[i],
+                     expected_ego[i] / weight_sum)
+        << "ego[" << i << "]";
+    EXPECT_DOUBLE_EQ(run.store.Context(run.new_node)[i],
+                     expected_context[i] / weight_sum)
+        << "context[" << i << "]";
   }
 }
 
