@@ -40,7 +40,6 @@ void Grafics::Train(const std::vector<rf::SignalRecord>& records) {
       cluster::ClusterEmbeddings(points, labels, config_.clusterer));
   classifier_ =
       std::make_shared<const cluster::CentroidClassifier>(points, *clustering_);
-  // Only a kKnn model ever asks the kNN head.
   knn_classifier_ =
       config_.head == InferenceHead::kKnn
           ? std::make_shared<const cluster::KnnClassifier>(

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <vector>
 
 #include "common/rng.h"
@@ -45,7 +46,8 @@ struct Score {
 
 /// Non-empty scans at uniform positions on uniform floors, labeled with
 /// their floor, drawn after the training records from a copy of the
-/// building's simulator.
+/// building's simulator. bench/refine_curve.cc draws the same way; it keeps
+/// its own copy because it must also build against older commits.
 std::vector<rf::SignalRecord> FreshScans(synth::BuildingSimulator simulator,
                                          std::size_t count,
                                          std::uint64_t seed) {

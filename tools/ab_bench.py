@@ -17,11 +17,14 @@ record, both commits, the seeds and run length, and, for each end-to-end
 metric, each side's median and quartiles, the change's win count and a
 verdict against the metric's bound:
   worse       the change's median is worse by more than the bound;
-  unresolved  the base's own interquartile spread exceeds the bound, so
-              the pairs cannot tell a move of that size from noise;
-  better      the change wins >= 90% of the pairs and its median moved by
-              more than the base's interquartile range;
+  better      every change run beats every base run, or the change wins
+              >= 90% of the pairs and its median moved by more than the
+              base's interquartile range;
+  unresolved  neither, and the base's own interquartile spread exceeds
+              the bound, so the pairs cannot tell a move of that size from
+              noise;
   no worse    otherwise.
+Each metric also lists every run's value per side, in seed order.
 A run that exits nonzero or reports correct: false stops the tool, which
 prints that run's stderr.
 """
@@ -78,20 +81,24 @@ def compare(spec, base_runs, change_runs):
         worse_by = relative if lower else -relative
         spread = (b_q3 - b_q1) / abs(b_med) if b_med else 0.0
         improved = (c_med < b_med) if lower else (c_med > b_med)
+        every_run_better = (max(change) < min(base)) if lower else (
+            min(change) > max(base))
         if worse_by > metric["bound"]:
             verdict = "worse"
+        elif every_run_better or (improved
+                                  and wins >= math.ceil(0.9 * pairs)
+                                  and abs(c_med - b_med) > b_q3 - b_q1):
+            verdict = "better"
         elif spread > metric["bound"]:
             verdict = "unresolved"
-        elif (improved and wins >= math.ceil(0.9 * pairs)
-              and abs(c_med - b_med) > b_q3 - b_q1):
-            verdict = "better"
         else:
             verdict = "no worse"
         report[name] = {
             "unit": metric["unit"], "better": metric["better"],
             "bound": metric["bound"],
-            "base": {"q1": b_q1, "median": b_med, "q3": b_q3},
-            "change": {"q1": c_q1, "median": c_med, "q3": c_q3},
+            "base": {"q1": b_q1, "median": b_med, "q3": b_q3, "runs": base},
+            "change": {"q1": c_q1, "median": c_med, "q3": c_q3,
+                       "runs": change},
             "relative_change": relative, "base_spread": spread,
             "change_wins": wins, "past_bound": worse_by > metric["bound"],
             "verdict": verdict,
@@ -226,6 +233,10 @@ def self_test():
            True)
     expect("flat f1", compare(spec, base, base)["micro_f1"]["verdict"],
            "no worse")
+    for run in change:
+        run["metrics"]["setup_s"]["value"] /= 4
+    expect("setup, every run faster",
+           compare(spec, base, change)["setup_s"]["verdict"], "better")
     for stdout, code in [(line(1.0, 0.9, 0.01).replace(
             '"correct": true', '"correct": false'), 0), ("", 1)]:
         try:
