@@ -1,8 +1,5 @@
 // Fig. 15 — insensitivity of GRAFICS to the embedding dimension (2^2..2^8).
 // Paper shape: a flat curve; no careful tuning of the dimension is needed.
-// Dim 4 keeps 600 online refinement steps: 100, the default, leaves it
-// under-converged (EXPERIMENTS.md), so the `steps` column shows each row's
-// budget.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -16,18 +13,15 @@ int main() {
   for (const Corpus& corpus :
        {MicrosoftCorpus(scale, 51), HongKongCorpus(scale, 52)}) {
     std::printf("\n--- %s corpus ---\n", corpus.name.c_str());
-    std::printf("%10s %10s %10s %10s\n", "dim", "steps", "micro-F",
-                "macro-F");
+    std::printf("%10s %10s %10s\n", "dim", "micro-F", "macro-F");
     for (const std::size_t dim : {4, 8, 16, 32, 64, 128, 256}) {
       core::ExperimentConfig config;
       config.labels_per_floor = 4;
       config.grafics.trainer.dim = dim;
-      if (dim == 4) config.grafics.online_refine_iterations = 600;
       const core::MetricsSummary s =
           RunOnCorpus(core::Algorithm::kGrafics, corpus, config, 5000 + dim,
                       scale.repetitions);
-      std::printf("%10zu %10zu %10.3f %10.3f\n", dim,
-                  config.grafics.online_refine_iterations, s.micro_f_mean,
+      std::printf("%10zu %10.3f %10.3f\n", dim, s.micro_f_mean,
                   s.macro_f_mean);
       std::fflush(stdout);
     }

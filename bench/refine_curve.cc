@@ -1,26 +1,28 @@
 // Online-refinement step curve: how many SGD steps a new node needs after
-// its warm start (Sec. V-A). For each (building, seed) the driver trains once
-// on the building's whole crowd dataset with 4 labels per floor. Then, for
-// each step count, it scores held-out fresh-position queries on the fresh
-// model, folds fresh records into it in batches of 10 (as the daemon's
-// `--ingest-batch 10` does), and scores the same queries again.
+// its warm start (Sec. V-A). For each (building, seed, step count) the driver
+// trains a model with that step count on the building's whole crowd dataset
+// with 4 labels per floor. It scores held-out fresh-position queries on the
+// fresh model, folds fresh records into it in batches of 10 (as the daemon's
+// `--ingest-batch 10` does), and scores the same queries again. Training does
+// not read the step count, so every step count of a (building, seed) starts
+// from the same trained embedding.
 //
-//   refine_curve [--dim 8] [--seeds 5] [--steps 50,100,200,300,600]
+//   refine_curve [--dim 8] [--steps 50,100,200,300,600]
 //                [--buildings ms-0,ms-1,ms-3,ms-7,campus,hk-office-tower-1]
-//                [--threads 0] [--pair-with ROWS_FILE]
+//                [--pair-with ROWS_FILE]
 //
 // ms-N are buildings of MicrosoftLikeFleet(16, 2022, 150), the fleet the
 // repository benchmark serves; campus is CampusBuildingConfig(9) and
-// hk-office-tower-1 is HongKongFleet(2022, 150)[0]. Seed s picks the labels,
-// the trainer seed and the query and fold records, so every job is
-// deterministic and the `row` lines of two builds pair up. --pair-with reads
-// the `row` lines of another run at one step count (say, an older build at
-// 600 steps) and prints this run's paired differences against them.
+// hk-office-tower-1 is HongKongFleet(2022, 150)[0]. Each building runs seeds
+// 1..8. Seed s picks the labels, the trainer seed and the query and fold
+// records, so every job is deterministic and the `row` lines of two builds
+// pair up. --pair-with reads the `row` lines of another run at one step
+// count (say, an older build at 600 steps) and prints this run's paired
+// differences against them.
 // EXPERIMENTS.md holds the tables and the commands.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <future>
 #include <map>
@@ -42,6 +44,7 @@ namespace {
 
 using namespace grafics;
 
+constexpr std::uint64_t kSeeds = 8;
 constexpr std::size_t kQueries = 1000;
 constexpr std::size_t kFolds = 3000;
 constexpr std::size_t kFoldBatch = 10;
@@ -101,30 +104,13 @@ double MicroF(const core::Grafics& model,
   return static_cast<double>(correct) / static_cast<double>(queries.size());
 }
 
-/// Loads `artifact` with its stored online step count set to `steps`. The
-/// count is the u64 at byte 57 of a v2 artifact, after the 8-byte header
-/// and the weight offset, dim, objective, negatives, learning-rate and seed
-/// fields (Grafics::SaveModel). A load is bit-exact, so every step count
-/// starts from the same trained model.
-core::Grafics LoadWithSteps(std::string artifact, std::size_t steps) {
-  constexpr std::size_t kStepsOffset = 57;
-  const std::uint64_t value = steps;
-  std::memcpy(artifact.data() + kStepsOffset, &value, sizeof(value));
-  std::istringstream in(artifact);
-  core::Grafics model = core::Grafics::LoadModel(in);
-  Require(model.config().online_refine_iterations == steps,
-          "refine_curve: the step count is not at byte 57 of the artifact");
-  return model;
-}
-
 struct Cell {
   double fresh = 0.0;
   double folded = 0.0;
 };
 
-std::vector<Cell> RunJob(const synth::BuildingConfig& building,
-                         std::uint64_t seed, std::size_t dim,
-                         const std::vector<std::size_t>& step_counts) {
+Cell RunJob(const synth::BuildingConfig& building, std::uint64_t seed,
+            std::size_t dim, std::size_t steps) {
   synth::BuildingSimulator simulator = building.MakeSimulator();
   rf::Dataset dataset = simulator.GenerateDataset();
   Rng label_rng(seed ^ 0x1ABE1ULL);
@@ -132,28 +118,22 @@ std::vector<Cell> RunJob(const synth::BuildingConfig& building,
   core::GraficsConfig config;
   config.trainer.dim = dim;
   config.trainer.seed = seed;
-  core::Grafics trained(config);
-  trained.Train(dataset.records());
-  std::ostringstream artifact;
-  trained.SaveModel(artifact);
+  config.online_refine_iterations = steps;
+  core::Grafics model(config);
+  model.Train(dataset.records());
 
   const std::vector<rf::SignalRecord> scans =
       FreshScans(simulator, kQueries + kFolds, seed ^ 0xF2E5ULL);
   const std::vector<rf::SignalRecord> queries(scans.begin(),
                                               scans.begin() + kQueries);
-  std::vector<Cell> cells;
-  for (const std::size_t steps : step_counts) {
-    core::Grafics model = LoadWithSteps(artifact.str(), steps);
-    Cell cell;
-    cell.fresh = MicroF(model, queries);
-    for (std::size_t b = kQueries; b < scans.size(); b += kFoldBatch) {
-      const auto first = scans.begin() + static_cast<std::ptrdiff_t>(b);
-      model.Update(std::vector<rf::SignalRecord>(first, first + kFoldBatch));
-    }
-    cell.folded = MicroF(model, queries);
-    cells.push_back(cell);
+  Cell cell;
+  cell.fresh = MicroF(model, queries);
+  for (std::size_t b = kQueries; b < scans.size(); b += kFoldBatch) {
+    const auto first = scans.begin() + static_cast<std::ptrdiff_t>(b);
+    model.Update(std::vector<rf::SignalRecord>(first, first + kFoldBatch));
   }
-  return cells;
+  cell.folded = MicroF(model, queries);
+  return cell;
 }
 
 /// Half-width of the two-sided 95% Student-t interval of the mean.
@@ -210,12 +190,9 @@ Baseline ReadBaseline(const std::string& path) {
 
 int main(int argc, char** argv) {
   const std::vector<std::string> args(argv + 1, argv + argc);
-  RequireKnownFlags(args, {"--dim", "--seeds", "--steps", "--buildings",
-                           "--threads", "--pair-with"});
+  RequireKnownFlags(args, {"--dim", "--steps", "--buildings", "--pair-with"});
   const std::size_t dim =
       ParseUnsigned(FlagValue(args, "--dim", "8"), 1024, "--dim");
-  const std::uint64_t seeds =
-      ParseUnsigned(FlagValue(args, "--seeds", "5"), 1000, "--seeds");
   std::vector<std::size_t> step_counts;
   for (const std::string& steps :
        SplitList(FlagValue(args, "--steps", "50,100,200,300,600"))) {
@@ -223,32 +200,34 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::string> buildings = SplitList(FlagValue(
       args, "--buildings", "ms-0,ms-1,ms-3,ms-7,campus,hk-office-tower-1"));
-  const std::size_t threads =
-      ParseUnsigned(FlagValue(args, "--threads", "0"), 256, "--threads");
   const std::string pair_with = FlagValue(args, "--pair-with", "");
 
   std::printf("== refine curve: micro-F vs online SGD steps, dim %zu, "
               "%llu seeds ==\n",
-              dim, static_cast<unsigned long long>(seeds));
+              dim, static_cast<unsigned long long>(kSeeds));
   std::printf("   %zu fresh-position queries; fresh model, then after %zu "
               "folded records in batches of %zu\n",
               kQueries, kFolds, kFoldBatch);
 
-  // One deterministic job per (building, seed); results land by index, so
-  // the output does not depend on the thread count.
+  // One deterministic job per (building, seed, step count); results land by
+  // index, so the output does not depend on the thread count.
   std::vector<synth::BuildingConfig> configs;
   for (const std::string& name : buildings) {
     configs.push_back(FindBuilding(name));
   }
-  std::vector<std::vector<Cell>> results(buildings.size() * seeds);
+  std::vector<std::vector<Cell>> results(
+      buildings.size() * kSeeds, std::vector<Cell>(step_counts.size()));
   {
-    ThreadPool pool(threads);
+    ThreadPool pool(0);
     std::vector<std::future<void>> jobs;
     for (std::size_t b = 0; b < buildings.size(); ++b) {
-      for (std::uint64_t s = 0; s < seeds; ++s) {
-        jobs.push_back(pool.Submit([&, b, s] {
-          results[b * seeds + s] = RunJob(configs[b], s + 1, dim, step_counts);
-        }));
+      for (std::uint64_t s = 0; s < kSeeds; ++s) {
+        for (std::size_t k = 0; k < step_counts.size(); ++k) {
+          jobs.push_back(pool.Submit([&, b, s, k] {
+            results[b * kSeeds + s][k] =
+                RunJob(configs[b], s + 1, dim, step_counts[k]);
+          }));
+        }
       }
     }
     for (std::future<void>& job : jobs) job.get();
@@ -257,9 +236,9 @@ int main(int argc, char** argv) {
   std::printf("\n%-6s %-18s %5s %4s %6s %8s %8s\n", "", "building", "seed",
               "dim", "steps", "fresh", "folded");
   for (std::size_t b = 0; b < buildings.size(); ++b) {
-    for (std::uint64_t s = 0; s < seeds; ++s) {
+    for (std::uint64_t s = 0; s < kSeeds; ++s) {
       for (std::size_t k = 0; k < step_counts.size(); ++k) {
-        const Cell& cell = results[b * seeds + s][k];
+        const Cell& cell = results[b * kSeeds + s][k];
         std::printf("row    %-18s %5llu %4zu %6zu %8.6f %8.6f\n",
                     buildings[b].c_str(), static_cast<unsigned long long>(s + 1),
                     dim, step_counts[k], cell.fresh, cell.folded);
@@ -273,9 +252,9 @@ int main(int argc, char** argv) {
   for (std::size_t b = 0; b < buildings.size(); ++b) {
     for (std::size_t k = 0; k < step_counts.size(); ++k) {
       std::vector<double> fresh, folded;
-      for (std::uint64_t s = 0; s < seeds; ++s) {
-        fresh.push_back(results[b * seeds + s][k].fresh);
-        folded.push_back(results[b * seeds + s][k].folded);
+      for (std::uint64_t s = 0; s < kSeeds; ++s) {
+        fresh.push_back(results[b * kSeeds + s][k].fresh);
+        folded.push_back(results[b * kSeeds + s][k].folded);
       }
       std::printf("%-18s %6zu %16s %16s\n", buildings[b].c_str(),
                   step_counts[k], MeanCi(fresh).c_str(),
@@ -291,15 +270,15 @@ int main(int argc, char** argv) {
   std::printf("%-18s %6s %16s %16s\n", "building", "steps", "fresh",
               "folded");
   for (std::size_t k = 0; k < step_counts.size(); ++k) {
-    std::vector<double> all_fresh(seeds, 0.0), all_folded(seeds, 0.0);
+    std::vector<double> all_fresh(kSeeds, 0.0), all_folded(kSeeds, 0.0);
     for (std::size_t b = 0; b < buildings.size(); ++b) {
       std::vector<double> fresh, folded;
-      for (std::uint64_t s = 0; s < seeds; ++s) {
+      for (std::uint64_t s = 0; s < kSeeds; ++s) {
         const auto found = baseline.find({buildings[b], s + 1, dim});
         Require(found != baseline.end(),
                 "refine_curve: " + pair_with + " has no row for " +
                     buildings[b] + " seed " + std::to_string(s + 1));
-        const Cell& cell = results[b * seeds + s][k];
+        const Cell& cell = results[b * kSeeds + s][k];
         fresh.push_back(cell.fresh - found->second.fresh);
         folded.push_back(cell.folded - found->second.folded);
         all_fresh[s] += fresh.back() / static_cast<double>(buildings.size());

@@ -41,8 +41,10 @@ struct GraficsConfig {
   cluster::ClustererConfig clusterer;
   /// SGD steps per new node during online inference (Sec. V-A), for
   /// predicts and folds alike. From the E-LINE-paired warm start, 100 steps
-  /// match 600 on fresh and folded accuracy at dims 8-64 (EXPERIMENTS.md);
-  /// dim 4 is under-converged at 100 and needs ~600.
+  /// match the old start's 600 on fresh and folded accuracy at dims 8-64 on
+  /// the step curve's buildings (EXPERIMENTS.md). Dim 4 is under-converged
+  /// at 100 and needs ~600, and the figure benches' Microsoft-like split
+  /// reads 2-3 points lower at 100 than at 600.
   std::size_t online_refine_iterations = 100;
   InferenceHead head = InferenceHead::kCentroid;
   cluster::KnnConfig knn;  // used when head == kKnn

@@ -252,6 +252,8 @@ void RefineNewNodesImpl(const Graph& graph,
   };
   Rng rng(config.seed ^ 0x5EEDFACEULL);
   std::vector<double> grad(config.dim, 0.0);
+  const bool ego_pairs_with_ego =
+      config.objective == Objective::kLineFirstOrder;
 
   for (const graph::NodeId node : new_nodes) {
     const std::span<const graph::Neighbor> neighbors =
@@ -262,14 +264,17 @@ void RefineNewNodesImpl(const Graph& graph,
     // its neighbors' context rows (Eq. 5) and its context row against their
     // ego rows (Eq. 8), so each starts at the weighted mean of the rows it
     // is scored against. That already lies near the refined optimum; SGD
-    // below only polishes it.
+    // below only polishes it. First-order LINE scores ego against ego and
+    // never trains context rows, so its ego row starts from their ego rows.
     const std::span<double> node_ego = store.Ego(node);
     const std::span<double> node_context = store.Context(node);
     std::fill(node_ego.begin(), node_ego.end(), 0.0);
     std::fill(node_context.begin(), node_context.end(), 0.0);
     double weight_sum = 0.0;
     for (const graph::Neighbor& nb : neighbors) {
-      Axpy(nb.weight, reads.Context(nb.node), node_ego);
+      Axpy(nb.weight,
+           ego_pairs_with_ego ? reads.Ego(nb.node) : reads.Context(nb.node),
+           node_ego);
       Axpy(nb.weight, reads.Ego(nb.node), node_context);
       weight_sum += nb.weight;
     }

@@ -62,8 +62,10 @@ EmbeddingStore TrainEmbeddings(const graph::BipartiteGraph& graph,
 /// every other row stays fixed. Each new node is warm-started in E-LINE's
 /// pairing: its ego row at the weighted mean of its neighbors' context rows,
 /// since Eq. 5 scores ego against context, and its context row at the mean
-/// of their ego rows (Eq. 8). Then `iterations` SGD steps refine it. `store`
-/// must already contain rows for the new nodes (EmbeddingStore::Grow).
+/// of their ego rows (Eq. 8). First-order LINE scores ego against ego, so
+/// there the ego row starts at the mean of their ego rows. Then `iterations`
+/// SGD steps refine it. `store` must already contain rows for the new nodes
+/// (EmbeddingStore::Grow).
 void RefineNewNodes(const graph::BipartiteGraph& graph,
                     std::span<const graph::NodeId> new_nodes,
                     EmbeddingStore& store, const TrainerConfig& config,

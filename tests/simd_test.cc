@@ -178,7 +178,8 @@ struct RefineRun {
   graph::NodeId new_node = 0;
 };
 
-RefineRun TrainAndGrow() {
+RefineRun TrainAndGrow(
+    embed::Objective objective = embed::Objective::kELine) {
   std::vector<rf::SignalRecord> records;
   for (int base : {100, 200}) {
     for (int r = 0; r < 4; ++r) {
@@ -192,6 +193,7 @@ RefineRun TrainAndGrow() {
   auto graph = graph::BipartiteGraph::FromRecords(records,
                                                   graph::OffsetWeight(120.0));
   embed::TrainerConfig config;
+  config.objective = objective;
   config.samples_per_edge = 50;
   config.dropout = 0.0;
   config.seed = 1234;
@@ -228,33 +230,41 @@ TEST(SimdGoldenTest, PinsSeededRefineRun) {
   }
 }
 
-// With no SGD steps the rows are the warm start alone, in E-LINE's pairing:
-// ego is scored against context rows (Eq. 5) and context against ego rows
-// (Eq. 8), so the new ego row starts at the weighted mean of the neighbors'
-// context rows and the new context row at the mean of their ego rows.
-TEST(SimdGoldenTest, WarmStartTakesEgoFromContextRowsAndContextFromEgoRows) {
-  RefineRun run = TrainAndGrow();
-  const std::vector<graph::NodeId> new_nodes = {run.new_node};
-  embed::RefineNewNodes(run.graph, new_nodes, run.store, run.config, 0);
+// With no SGD steps the rows are the warm start alone. Each row starts at the
+// weighted mean of the neighbors' rows it is scored against: under E-LINE,
+// ego against context (Eq. 5) and context against ego (Eq. 8). First-order
+// LINE scores ego against ego and never trains context rows, so there the
+// ego row starts from the neighbors' ego rows.
+TEST(SimdGoldenTest, WarmStartTakesTheRowsEachRowIsScoredAgainst) {
+  for (const embed::Objective objective :
+       {embed::Objective::kELine, embed::Objective::kLineFirstOrder}) {
+    const bool first_order = objective == embed::Objective::kLineFirstOrder;
+    SCOPED_TRACE(first_order ? "first-order LINE" : "E-LINE");
+    RefineRun run = TrainAndGrow(objective);
+    const std::vector<graph::NodeId> new_nodes = {run.new_node};
+    embed::RefineNewNodes(run.graph, new_nodes, run.store, run.config, 0);
 
-  std::vector<double> expected_ego(8, 0.0);
-  std::vector<double> expected_context(8, 0.0);
-  double weight_sum = 0.0;
-  for (const graph::Neighbor& nb : run.graph.NeighborsOf(run.new_node)) {
-    for (std::size_t i = 0; i < 8; ++i) {
-      expected_ego[i] += nb.weight * run.store.Context(nb.node)[i];
-      expected_context[i] += nb.weight * run.store.Ego(nb.node)[i];
+    std::vector<double> expected_ego(8, 0.0);
+    std::vector<double> expected_context(8, 0.0);
+    double weight_sum = 0.0;
+    for (const graph::Neighbor& nb : run.graph.NeighborsOf(run.new_node)) {
+      const std::span<const double> ego_partner =
+          first_order ? run.store.Ego(nb.node) : run.store.Context(nb.node);
+      for (std::size_t i = 0; i < 8; ++i) {
+        expected_ego[i] += nb.weight * ego_partner[i];
+        expected_context[i] += nb.weight * run.store.Ego(nb.node)[i];
+      }
+      weight_sum += nb.weight;
     }
-    weight_sum += nb.weight;
-  }
-  ASSERT_EQ(run.graph.NeighborsOf(run.new_node).size(), 3u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_DOUBLE_EQ(run.store.Ego(run.new_node)[i],
-                     expected_ego[i] / weight_sum)
-        << "ego[" << i << "]";
-    EXPECT_DOUBLE_EQ(run.store.Context(run.new_node)[i],
-                     expected_context[i] / weight_sum)
-        << "context[" << i << "]";
+    ASSERT_EQ(run.graph.NeighborsOf(run.new_node).size(), 3u);
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_DOUBLE_EQ(run.store.Ego(run.new_node)[i],
+                       expected_ego[i] / weight_sum)
+          << "ego[" << i << "]";
+      EXPECT_DOUBLE_EQ(run.store.Context(run.new_node)[i],
+                       expected_context[i] / weight_sum)
+          << "context[" << i << "]";
+    }
   }
 }
 

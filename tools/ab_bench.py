@@ -17,18 +17,18 @@ record, both commits, the seeds and run length, and, for each end-to-end
 metric, each side's median and quartiles, the change's win count and a
 verdict against the metric's bound:
   worse       the change's median is worse by more than the bound;
-  better      every change run beats every base run, or the change wins
-              >= 90% of the pairs and its median moved by more than the
-              base's interquartile range;
-  unresolved  neither, and the base's own interquartile spread exceeds
-              the bound, so the pairs cannot tell a move of that size from
-              noise;
+  better      the change wins >= 90% of the pairs and its median moved the
+              right way by more than the base's interquartile range;
+  unresolved  neither, the base's own interquartile spread exceeds the
+              bound, so the pairs cannot tell a move of that size from
+              noise, and not every change run beats every base run;
   no worse    otherwise.
 Each metric also lists every run's value per side, in seed order.
-A run that exits nonzero or reports correct: false stops the tool, which
-prints that run's stderr.
+A run that exits nonzero, prints no JSON result line or reports
+correct: false stops the tool, which prints that run's stderr.
 """
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -56,12 +56,15 @@ def quartiles(values):
 def check_run(side, seed, code, stdout, stderr):
     """Parses run.py's last stdout line; stops the tool on a failed run."""
     lines = stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if code == 0 and lines else None
-    if result is None or not result.get("correct", False):
+    try:
+        result = json.loads(lines[-1]) if code == 0 and lines else None
+    except json.JSONDecodeError:
+        result = None
+    correct = result.get("correct") if isinstance(result, dict) else None
+    if not correct:
         sys.stderr.write(stderr)
         raise SystemExit(f"ab_bench: {side} run at seed {seed} failed "
-                         f"(exit {code}, correct: "
-                         f"{None if result is None else result['correct']})")
+                         f"(exit {code}, correct: {correct})")
     return result
 
 
@@ -85,11 +88,10 @@ def compare(spec, base_runs, change_runs):
             min(change) > max(base))
         if worse_by > metric["bound"]:
             verdict = "worse"
-        elif every_run_better or (improved
-                                  and wins >= math.ceil(0.9 * pairs)
-                                  and abs(c_med - b_med) > b_q3 - b_q1):
+        elif (improved and wins >= math.ceil(0.9 * pairs)
+              and abs(c_med - b_med) > b_q3 - b_q1):
             verdict = "better"
-        elif spread > metric["bound"]:
+        elif spread > metric["bound"] and not every_run_better:
             verdict = "unresolved"
         else:
             verdict = "no worse"
@@ -235,15 +237,33 @@ def self_test():
            "no worse")
     for run in change:
         run["metrics"]["setup_s"]["value"] /= 4
-    expect("setup, every run faster",
+    expect("setup, every run faster by more than the base IQR",
            compare(spec, base, change)["setup_s"]["verdict"], "better")
-    for stdout, code in [(line(1.0, 0.9, 0.01).replace(
-            '"correct": true', '"correct": false'), 0), ("", 1)]:
+    # Every change run beats every base run, but the median moves by less
+    # than the base's wide quartile range: not better, and not unresolved.
+    for run, value in zip(base, [1.0, 1.1, 3.0, 4.0]):
+        run["metrics"]["setup_s"]["value"] = value
+    for run, value in zip(change, [0.9, 0.95, 0.92, 0.97]):
+        run["metrics"]["setup_s"]["value"] = value
+    expect("setup, every run faster by less than the base IQR",
+           compare(spec, base, change)["setup_s"]["verdict"], "no worse")
+    failed_runs = [
+        (line(1.0, 0.9, 0.01).replace('"correct": true', '"correct": false'),
+         0),
+        ("", 1),
+        ("build log\nSegmentation fault", 0),
+    ]
+    for stdout, code in failed_runs:
+        printed = io.StringIO()
         try:
-            check_run("change", 1, code, stdout, "canned stderr\n")
-            failures.append(f"a failed run (exit {code}) did not stop")
+            with contextlib.redirect_stderr(printed):
+                check_run("change", 1, code, stdout, "canned stderr\n")
+            failures.append(f"a failed run ({stdout[-20:]!r}, exit {code}) "
+                            "did not stop")
         except SystemExit:
-            pass
+            if "canned stderr" not in printed.getvalue():
+                failures.append(f"a failed run ({stdout[-20:]!r}, exit "
+                                f"{code}) did not print its stderr")
     for failure in failures:
         print(f"ab_bench self-test FAILED: {failure}", file=sys.stderr)
     print("ab_bench self-test:", "FAIL" if failures else "PASS")
